@@ -1,9 +1,11 @@
-// Microbenchmarks of the columnar segment store (google-benchmark): typed
-// predicate scans and un-indexed time ranges over sealed delta+varint /
-// dictionary segments with zone-map skipping, against the identical table
-// kept entirely in the row-major tail (SegmentConfig{.seal = false} — the
-// pre-segment storage layout). Also reports the resident-memory side of the
-// trade: encoded bytes per row at warehouse scale.
+// Microbenchmarks of the columnar segment store (google-benchmark), every
+// read issued through mScopeSQL: predicate scans and un-indexed time ranges
+// over sealed delta+varint / dictionary segments with zone-map skipping,
+// against the identical table kept entirely in the row-major tail
+// (SegmentConfig{.seal = false} — the pre-segment storage layout), and the
+// same time range once more with a warm TimeIndex bounding the scan. Also
+// reports the resident-memory side of the trade: encoded bytes per row at
+// warehouse scale.
 
 #include <benchmark/benchmark.h>
 
@@ -15,7 +17,7 @@
 #include <utility>
 
 #include "db/database.h"
-#include "db/query.h"
+#include "db/sql.h"
 #include "util/rng.h"
 
 namespace {
@@ -24,13 +26,17 @@ using namespace mscope;
 
 constexpr int kUrlVariants = 8;
 
-// One synthetic Apache-shaped event table per (size, sealed) pair, built
-// once and leaked (benchmark fixture). Same layout and rng seed as
-// bench_query_engine, so numbers are comparable across the two binaries.
-db::Table& event_table(std::int64_t rows, bool sealed) {
-  static std::map<std::pair<std::int64_t, bool>, db::Database*>& dbs =
-      *new std::map<std::pair<std::int64_t, bool>, db::Database*>();
-  const auto key = std::make_pair(rows, sealed);
+/// How one benchmark table is laid out: all rows in the row-major tail,
+/// sealed into columnar segments, or sealed with a warm ua_usec TimeIndex.
+enum class Layout { kRowMajor, kSealed, kSealedIndexed };
+
+// One synthetic Apache-shaped event table "ev" per (size, layout) pair,
+// built once and leaked (benchmark fixture). Same requests and rng seed as
+// bench_sql_engine's "ev", so numbers are comparable across the two binaries.
+db::Database& warehouse(std::int64_t rows, Layout layout) {
+  static std::map<std::pair<std::int64_t, Layout>, db::Database*>& dbs =
+      *new std::map<std::pair<std::int64_t, Layout>, db::Database*>();
+  const auto key = std::make_pair(rows, layout);
   auto it = dbs.find(key);
   if (it == dbs.end()) {
     auto* d = new db::Database();  // intentionally leaked benchmark fixture
@@ -40,7 +46,7 @@ db::Table& event_table(std::int64_t rows, bool sealed) {
                                      {"ua_usec", db::DataType::kInt},
                                      {"ud_usec", db::DataType::kInt},
                                      {"duration_usec", db::DataType::kInt}});
-    if (!sealed) t.set_storage_config({.seal = false});
+    if (layout == Layout::kRowMajor) t.set_storage_config({.seal = false});
     t.reserve(static_cast<std::size_t>(rows));
     util::Rng rng(13);
     for (std::int64_t i = 0; i < rows; ++i) {
@@ -53,69 +59,65 @@ db::Table& event_table(std::int64_t rows, bool sealed) {
                 db::Value{i % 4}, db::Value{ua}, db::Value{ua + dur},
                 db::Value{dur}});
     }
+    if (layout == Layout::kSealedIndexed) (void)t.time_index("ua_usec");
     it = dbs.emplace(key, d).first;
   }
-  return it->second->get("ev");
+  return *it->second;
 }
 
-// Typed equality predicate on a Text column: dictionary probe + code scan
-// per segment vs row-at-a-time Value materialization over the tail.
-void BM_PredicateScanColumnar(benchmark::State& state) {
-  db::Table& t = event_table(state.range(0), /*sealed=*/true);
+// One SQL count per iteration; the parse and plan cost rides along, as it
+// does for every analysis query.
+void count_loop(benchmark::State& state, Layout layout, const char* sql) {
+  const db::Database& db = warehouse(state.range(0), layout);
   for (auto _ : state) {
-    const auto n =
-        db::Query(t).where_eq_str("url", "/rubbos/Servlet3").count();
-    benchmark::DoNotOptimize(n);
+    const db::Table r = db::Sql::execute(db, sql);
+    benchmark::DoNotOptimize(r.at(0, 0));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+
+constexpr const char* kPredicate =
+    "SELECT COUNT(*) FROM ev WHERE url = '/rubbos/Servlet3'";
+// A 10-second slice out of the middle of the table: the canonical "zoom into
+// the bottleneck window" query of every analysis.
+constexpr const char* kTimeRange =
+    "SELECT COUNT(*) FROM ev WHERE ua_usec >= 1000000 AND ua_usec < 11000000";
+
+// Equality predicate on a Text column: dictionary probe + code scan per
+// segment vs per-row cell decoding over the tail.
+void BM_PredicateScanColumnar(benchmark::State& state) {
+  count_loop(state, Layout::kSealed, kPredicate);
 }
 BENCHMARK(BM_PredicateScanColumnar)->Arg(10000)->Arg(100000)->Arg(1000000);
 
 void BM_PredicateScanRowMajor(benchmark::State& state) {
-  db::Table& t = event_table(state.range(0), /*sealed=*/false);
-  for (auto _ : state) {
-    const auto n =
-        db::Query(t).where_eq_str("url", "/rubbos/Servlet3").count();
-    benchmark::DoNotOptimize(n);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+  count_loop(state, Layout::kRowMajor, kPredicate);
 }
 BENCHMARK(BM_PredicateScanRowMajor)->Arg(10000)->Arg(100000)->Arg(1000000);
 
 // Un-indexed time range: zone maps skip every segment outside the 10-second
 // slice, so the columnar scan touches ~1% of the table at 1M rows.
 void BM_TimeRangeScanColumnar(benchmark::State& state) {
-  db::Table& t = event_table(state.range(0), /*sealed=*/true);
-  const util::SimTime lo = util::sec(1), hi = util::sec(11);
-  for (auto _ : state) {
-    const auto n = db::Query(t)
-                       .use_index(false)
-                       .time_range("ua_usec", lo, hi)
-                       .count();
-    benchmark::DoNotOptimize(n);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+  count_loop(state, Layout::kSealed, kTimeRange);
 }
 BENCHMARK(BM_TimeRangeScanColumnar)->Arg(10000)->Arg(100000)->Arg(1000000);
 
 void BM_TimeRangeScanRowMajor(benchmark::State& state) {
-  db::Table& t = event_table(state.range(0), /*sealed=*/false);
-  const util::SimTime lo = util::sec(1), hi = util::sec(11);
-  for (auto _ : state) {
-    const auto n = db::Query(t)
-                       .use_index(false)
-                       .time_range("ua_usec", lo, hi)
-                       .count();
-    benchmark::DoNotOptimize(n);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+  count_loop(state, Layout::kRowMajor, kTimeRange);
 }
 BENCHMARK(BM_TimeRangeScanRowMajor)->Arg(10000)->Arg(100000)->Arg(1000000);
+
+// The same range with a warm TimeIndex narrowing the scanned rows before any
+// segment is decoded.
+void BM_TimeRangeIndexed(benchmark::State& state) {
+  count_loop(state, Layout::kSealedIndexed, kTimeRange);
+}
+BENCHMARK(BM_TimeRangeIndexed)->Arg(10000)->Arg(100000)->Arg(1000000);
 
 // Full-table sequential materialization through RowCursor: the cost floor
 // of every analysis pass (trace reconstruction, consistency checks).
 void BM_FullScanCursor(benchmark::State& state) {
-  db::Table& t = event_table(state.range(0), /*sealed=*/true);
+  const db::Table& t = warehouse(state.range(0), Layout::kSealed).get("ev");
   for (auto _ : state) {
     std::size_t n = 0;
     for (db::RowCursor cur = t.scan(); cur.next();) n += cur.row().size();
@@ -146,9 +148,11 @@ std::size_t vm_rss_kb() {
 void report_memory() {
   const std::int64_t rows = 1'000'000;
   const std::size_t rss0 = vm_rss_kb();
-  const std::size_t row_major = event_table(rows, false).storage().byte_size();
+  const std::size_t row_major =
+      warehouse(rows, Layout::kRowMajor).get("ev").storage().byte_size();
   const std::size_t rss1 = vm_rss_kb();
-  const std::size_t columnar = event_table(rows, true).storage().byte_size();
+  const std::size_t columnar =
+      warehouse(rows, Layout::kSealed).get("ev").storage().byte_size();
   const std::size_t rss2 = vm_rss_kb();
   std::printf("# storage footprint, %lld rows\n", (long long)rows);
   std::printf("#   row-major tail: %8.1f MB encoded (%.1f B/row), "

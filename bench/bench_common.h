@@ -6,9 +6,12 @@
 // where the figure needs warehouse data, prints the series the paper plots,
 // and finishes with SHAPE checks — the qualitative claims the figure makes.
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "core/milliscope.h"
@@ -59,9 +62,22 @@ inline double series_max_in(const util::Series& s, util::SimTime t0,
   return m;
 }
 
-/// Scratch directory for a bench's log artifacts.
+/// Scratch directory for a bench's log artifacts. The pid suffix keeps two
+/// concurrent runs of one bench apart; every directory handed out is removed
+/// when the process exits.
 inline std::filesystem::path bench_dir(const std::string& name) {
-  return std::filesystem::temp_directory_path() / ("mscope_bench_" + name);
+  struct Reaper {
+    std::vector<std::filesystem::path> dirs;
+    ~Reaper() {
+      std::error_code ec;
+      for (const auto& d : dirs) std::filesystem::remove_all(d, ec);
+    }
+  };
+  static Reaper reaper;
+  reaper.dirs.push_back(
+      std::filesystem::temp_directory_path() /
+      ("mscope_bench_" + name + "_" + std::to_string(::getpid())));
+  return reaper.dirs.back();
 }
 
 /// Standard exit: non-zero if any shape check failed.

@@ -5,7 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include "db/query.h"
+#include "db/sql.h"
 #include "logging/formats.h"
 #include "sim/simulation.h"
 #include "transform/declaration.h"
@@ -103,10 +103,11 @@ db::Database& warehouse_100k() {
 void BM_QueryTimeRangeScan(benchmark::State& state) {
   db::Database& db = warehouse_100k();
   for (auto _ : state) {
-    const auto n = db::Query(db.get("ev"))
-                       .time_range("ua_usec", util::sec(10), util::sec(20))
-                       .count();
-    benchmark::DoNotOptimize(n);
+    const db::Table n = db::Sql::execute(
+        db,
+        "SELECT COUNT(*) FROM ev WHERE ua_usec >= 10000000 AND "
+        "ua_usec < 20000000");
+    benchmark::DoNotOptimize(n.at(0, 0));
   }
   state.SetItemsProcessed(state.iterations() * 100000);
 }
@@ -115,11 +116,11 @@ BENCHMARK(BM_QueryTimeRangeScan);
 void BM_QueryGroupByBucket(benchmark::State& state) {
   db::Database& db = warehouse_100k();
   for (auto _ : state) {
-    const auto t = db::Query(db.get("ev"))
-                       .group_by_bucket("ud_usec", util::msec(50),
-                                        {{db::Query::AggKind::kMax,
-                                          "duration_usec"}});
-    benchmark::DoNotOptimize(t);
+    const db::Table t = db::Sql::execute(
+        db,
+        "SELECT BUCKET(ud_usec, 50000), MAX(duration_usec) FROM ev "
+        "GROUP BY BUCKET(ud_usec, 50000)");
+    benchmark::DoNotOptimize(t.row_count());
   }
   state.SetItemsProcessed(state.iterations() * 100000);
 }

@@ -39,7 +39,7 @@ db::Table::Row make_row(std::int64_t i) {
 
 fs::path wal_file() {
   return fs::temp_directory_path() /
-         ("bench_wal_append_" + std::to_string(::getpid()) + ".log");
+         ("mscope_bench_wal_append_" + std::to_string(::getpid()) + ".log");
 }
 
 // Keep tables bounded so the measurement stays on insert, not on memory.

@@ -4,10 +4,10 @@
 #include <iterator>
 #include <map>
 #include <span>
+#include <stdexcept>
 #include <tuple>
 
 #include "db/index.h"
-#include "db/query.h"
 
 namespace mscope::core {
 
@@ -35,6 +35,31 @@ PitSeries pit_from_events(const Series& completions_rt_ms, SimTime bucket) {
   }
   out.overall_avg_ms = all.mean();
   out.overall_p50_ms = util::percentile(values, 50);
+  return out;
+}
+
+/// (time, value) samples of one table in time order: a walk of the sorted
+/// TimeIndex on `time_column`, whose (time, row) order is exactly a stable
+/// time-sort of the rows. Rows whose value cell is not numeric are skipped;
+/// a time column that is not numeric has no index and no timed cell, so it
+/// yields an empty series. Throws std::out_of_range if a column is missing.
+Series index_walk(const db::Table& t, const std::string& time_column,
+                  const std::string& value_column) {
+  const auto tc = t.column_index(time_column);
+  const auto vc = t.column_index(value_column);
+  if (!tc || !vc) {
+    throw std::out_of_range("table '" + t.name() + "' has no column '" +
+                            (tc ? value_column : time_column) + "'");
+  }
+  const db::TimeIndex* idx = t.time_index(*tc);
+  if (idx == nullptr) return {};
+  Series out;
+  out.reserve(idx->size());
+  for (const auto& e : idx->entries()) {
+    if (const auto v = db::as_double(t.at(e.row, *vc))) {
+      out.push_back({e.time, *v});
+    }
+  }
   return out;
 }
 
@@ -69,7 +94,7 @@ PitSeries pit_response_time_db_multi(
   for (const auto& name : apache_tables) {
     const db::Table& t = db.get(name);
     // (completion time, response time): duration_usec is Apache's %D field.
-    Series part = db::Query(t).series("ud_usec", "duration_usec");
+    Series part = index_walk(t, "ud_usec", "duration_usec");
     if (rt.empty()) {
       rt = std::move(part);
     } else {
@@ -172,7 +197,7 @@ Series resource_series(const db::Catalog& db, const std::string& table,
   const db::Table* t = db.find(table);
   if (t == nullptr) return {};
   if (!t->column_index(column) || !t->column_index("ts_usec")) return {};
-  return db::Query(*t).series("ts_usec", column);
+  return index_walk(*t, "ts_usec", column);
 }
 
 std::vector<InteractionStats> interaction_breakdown(

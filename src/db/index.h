@@ -8,15 +8,15 @@ namespace mscope::db {
 
 class Table;
 
-/// A sorted time index over one numeric column of a Table: the backbone of
-/// the query engine. Entries are (time, row) pairs ordered lexicographically,
-/// so every half-open time range `[lo, hi)` is a *contiguous slice* of the
-/// index — `time_range` becomes two binary searches instead of a full scan,
-/// and a sliding-window walk touches each entry exactly once.
+/// A sorted time index over one numeric column of a Table. Entries are
+/// (time, row) pairs ordered lexicographically, so every half-open time range
+/// `[lo, hi)` is a *contiguous slice* of the index (two binary searches), and
+/// a full walk yields the rows stably sorted by time. The SQL scan uses the
+/// slice to bound the row range it decodes; the metrics analyses walk it for
+/// pre-sorted (time, value) series.
 ///
-/// `time` is the column value through `as_int` (doubles are rounded exactly
-/// like the `time_range` predicate rounds them); rows whose cell is NULL or
-/// Text are not indexed — the predicates they would fail are never tested.
+/// `time` is the column value through `as_int` (doubles are rounded); rows
+/// whose cell is NULL or Text are not indexed.
 ///
 /// Lifecycle: built lazily by Table::time_index() (one O(n log n) sort),
 /// then maintained incrementally by Table::insert() — an append in time
@@ -49,9 +49,6 @@ class TimeIndex {
   /// are insertion order, equal-time runs preserve insertion order too.
   [[nodiscard]] std::span<const Entry> range(std::int64_t lo,
                                              std::int64_t hi) const;
-
-  /// Entries with time == t.
-  [[nodiscard]] std::span<const Entry> equal(std::int64_t t) const;
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] bool empty() const { return entries_.empty(); }

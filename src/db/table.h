@@ -131,7 +131,7 @@ class Table {
 
   /// Read access to physical storage for the query engine's columnar scans
   /// and the snapshot writer. Layout may change between versions; analysis
-  /// code should stay on at()/scan()/Query.
+  /// code should stay on at()/scan()/Sql.
   [[nodiscard]] const segment::SegmentStore& storage() const {
     return store_;
   }

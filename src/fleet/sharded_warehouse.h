@@ -13,7 +13,7 @@ namespace mscope::fleet {
 
 /// The fleet root's warehouse: N independent mScopeDB instances, each fed by
 /// its own StreamingTransformer, presenting one logical warehouse through
-/// the db::Catalog seam — Query, mScopeSQL, PIT analysis and the diagnoser
+/// the db::Catalog seam — mScopeSQL, PIT analysis and the diagnoser
 /// all run over it unmodified.
 ///
 /// Sharding is by *origin node*: every dynamic table is per (monitor, node),

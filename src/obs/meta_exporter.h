@@ -16,7 +16,7 @@ namespace mscope::obs {
 ///
 /// That closes the loop the hierarchical-monitoring literature argues for —
 /// monitor telemetry flowing through the same aggregation substrate as the
-/// monitored data: Query, PIT analysis, SQL, windows and the diagnoser all
+/// monitored data: SQL, PIT analysis, the resource series and the diagnoser all
 /// run unmodified over the monitor's own health series, because they are
 /// just rows with a ts_usec anchor like every other table.
 ///

@@ -15,7 +15,6 @@
 //     unattributable case: a generation boundary swallowed by a crash).
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <filesystem>
 #include <map>
@@ -32,11 +31,11 @@
 #include "fleet/sharded_warehouse.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
+#include "temp_dir.h"
 
 namespace mscope::chaos {
 namespace {
 
-namespace fs = std::filesystem;
 using util::msec;
 using util::sec;
 using util::SimTime;
@@ -151,8 +150,8 @@ ChaosRun run_fleet_under(
   cfg.duration = sec(5);
   cfg.nodes_per_tier = {2, 2, 2, 2};
   cfg.capture_messages = false;
-  cfg.log_dir = fs::temp_directory_path() /
-                ("mscope_chaos_test_" + std::to_string(::getpid()));
+  const test::TempDir dir("chaos");
+  cfg.log_dir = dir.path();
   core::Experiment exp(cfg);
 
   fleet::FleetCollection::Config fc;
@@ -191,7 +190,6 @@ ChaosRun run_fleet_under(
     r.books[node].holes = g.gap_bytes;
     r.gaps_by_node[node] = g;
   }
-  fs::remove_all(cfg.log_dir);
   return r;
 }
 

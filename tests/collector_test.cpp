@@ -5,7 +5,6 @@
 // collection path and the post-hoc batch transform of the same run.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <filesystem>
 #include <string>
@@ -22,6 +21,7 @@
 #include "sim/network.h"
 #include "sim/node.h"
 #include "sim/simulation.h"
+#include "temp_dir.h"
 #include "transform/streaming.h"
 
 namespace mscope {
@@ -108,13 +108,9 @@ class TailerFixture : public ::testing::Test {
  protected:
   TailerFixture()
       : node_(sim_, {}),
-        fac_(sim_, node_,
-             {fs::temp_directory_path() / "mscope_tailer_test",
-              /*model_costs=*/false}) {}
-  ~TailerFixture() override {
-    fs::remove_all(fs::temp_directory_path() / "mscope_tailer_test");
-  }
+        fac_(sim_, node_, {tmp_.path(), /*model_costs=*/false}) {}
 
+  test::TempDir tmp_{"tailer"};
   sim::Simulation sim_;
   sim::Node node_;
   logging::LoggingFacility fac_;
@@ -410,19 +406,12 @@ void expect_identical_databases(const db::Database& a, const db::Database& b) {
 
 class StreamingParityFixture : public ::testing::Test {
  protected:
-  static fs::path log_dir() {
-    // Per-process dir: ctest -j runs each parity test in its own process,
-    // and a shared path lets one process's TearDown delete the logs another
-    // is still reading.
-    return fs::temp_directory_path() /
-           ("mscope_collector_parity_" + std::to_string(::getpid()));
-  }
-
   static void SetUpTestSuite() {
     core::TestbedConfig cfg;
     cfg.workload = 1200;
     cfg.duration = sec(12);
-    cfg.log_dir = log_dir();
+    dir_ = new test::TempDir("collector_parity");
+    cfg.log_dir = dir_->path();
     cfg.scenario_a = core::ScenarioA{};
 
     exp_ = new core::Experiment(cfg);
@@ -454,9 +443,10 @@ class StreamingParityFixture : public ::testing::Test {
     delete detector_;
     delete db_stream_;
     delete db_batch_;
-    fs::remove_all(log_dir());
+    delete dir_;
   }
 
+  static test::TempDir* dir_;
   static core::Experiment* exp_;
   static core::OnlineVsbDetector* detector_;
   static core::OnlineCollection* online_;
@@ -466,6 +456,7 @@ class StreamingParityFixture : public ::testing::Test {
   static std::size_t samples_before_end_;
 };
 
+test::TempDir* StreamingParityFixture::dir_ = nullptr;
 core::Experiment* StreamingParityFixture::exp_ = nullptr;
 core::OnlineVsbDetector* StreamingParityFixture::detector_ = nullptr;
 core::OnlineCollection* StreamingParityFixture::online_ = nullptr;
@@ -529,10 +520,11 @@ TEST_F(StreamingParityFixture, CollectionOverheadIsModeled) {
 // --- Backpressure under a deliberately tiny buffer -------------------------
 
 TEST(OnlineCollectionBackpressure, DropNewestLosesRecordsButSurvives) {
+  const test::TempDir dir("collector_drop");
   core::TestbedConfig cfg;
   cfg.workload = 600;
   cfg.duration = sec(5);
-  cfg.log_dir = fs::temp_directory_path() / "mscope_collector_drop";
+  cfg.log_dir = dir.path();
   cfg.capture_messages = false;
 
   core::Testbed testbed(cfg);
@@ -544,7 +536,6 @@ TEST(OnlineCollectionBackpressure, DropNewestLosesRecordsButSurvives) {
   core::OnlineCollection online(testbed, db, nullptr, oc);
   testbed.run();
   online.finish();
-  fs::remove_all(cfg.log_dir);
 
   const auto t = online.totals();
   EXPECT_GT(t.dropped, 0u);   // loss is observable, not silent
@@ -555,10 +546,11 @@ TEST(OnlineCollectionBackpressure, DropNewestLosesRecordsButSurvives) {
 }
 
 TEST(OnlineCollectionBackpressure, BlockPolicyKeepsParityEvenWhenStarved) {
+  const test::TempDir dir("collector_block");
   core::TestbedConfig cfg;
   cfg.workload = 400;
   cfg.duration = sec(5);
-  cfg.log_dir = fs::temp_directory_path() / "mscope_collector_block";
+  cfg.log_dir = dir.path();
   cfg.capture_messages = false;
 
   core::Testbed testbed(cfg);
@@ -579,7 +571,6 @@ TEST(OnlineCollectionBackpressure, BlockPolicyKeepsParityEvenWhenStarved) {
   db::Database db_batch;
   transform::DataTransformer transformer;
   transformer.run(cfg.log_dir, db_batch);
-  fs::remove_all(cfg.log_dir);
   // Dynamic tables still match the batch transform exactly.
   for (const auto& name : db_batch.table_names()) {
     if (name.rfind("ms_", 0) == 0) continue;  // metadata disabled above
@@ -663,10 +654,11 @@ TEST(Aggregator, OffsetJumpSurfacesAsGap) {
 }
 
 TEST(OnlineCollectionLoss, AbandonedBatchShowsUpInRunTotals) {
+  const test::TempDir dir("collector_abandon");
   core::TestbedConfig cfg;
   cfg.workload = 600;
   cfg.duration = sec(5);
-  cfg.log_dir = fs::temp_directory_path() / "mscope_collector_abandon";
+  cfg.log_dir = dir.path();
   cfg.capture_messages = false;
 
   core::Testbed testbed(cfg);
@@ -683,7 +675,6 @@ TEST(OnlineCollectionLoss, AbandonedBatchShowsUpInRunTotals) {
   }
   testbed.run();
   online.finish();
-  fs::remove_all(cfg.log_dir);
 
   const auto t = online.totals();
   EXPECT_GT(t.abandoned, 0u);          // the shipper admits the loss...

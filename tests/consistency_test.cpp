@@ -5,6 +5,7 @@
 #include <filesystem>
 
 #include "core/milliscope.h"
+#include "temp_dir.h"
 #include "util/id_codec.h"
 
 namespace mscope::core {
@@ -116,11 +117,11 @@ TEST(WarehouseValidator, ViolationCapRespected) {
 TEST(WarehouseValidator, RealRunIsFullyConsistent) {
   // The strongest end-to-end property: a full monitored run, transformed
   // and loaded, satisfies every structural invariant.
+  const test::TempDir dir("consistency");
   TestbedConfig cfg;
   cfg.workload = 800;
   cfg.duration = sec(6);
-  cfg.log_dir =
-      std::filesystem::temp_directory_path() / "mscope_consistency_test";
+  cfg.log_dir = dir.path();
   cfg.scenario_a = ScenarioA{.first_flush = sec(3)};
   Experiment exp(cfg);
   exp.run();
@@ -132,7 +133,6 @@ TEST(WarehouseValidator, RealRunIsFullyConsistent) {
   EXPECT_TRUE(report.ok()) << report.summary();
   EXPECT_GT(report.rows_checked, 1000u);
   EXPECT_GT(report.edges_checked, 1000u);
-  std::filesystem::remove_all(cfg.log_dir);
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/analysis.h"
 #include "core/metrics.h"
 #include "db/database.h"
@@ -55,6 +57,40 @@ TEST(PitResponseTime, DbPathMatchesDirectPath) {
     EXPECT_DOUBLE_EQ(a.max_rt_ms[i].value, b.max_rt_ms[i].value);
   }
   EXPECT_DOUBLE_EQ(a.overall_avg_ms, b.overall_avg_ms);
+}
+
+TEST(PitResponseTime, ReplicasEqualTheirConcatenation) {
+  // Two replicas with interleaved and colliding completion times: the
+  // multi-table PIT must equal the PIT of one table holding replica 1's rows
+  // followed by replica 2's.
+  db::Database db;
+  const db::Schema schema{{"ud_usec", db::DataType::kInt},
+                          {"duration_usec", db::DataType::kInt}};
+  auto& web1 = db.create_table("ev_apache_web1", schema);
+  auto& web2 = db.create_table("ev_apache_web2", schema);
+  auto& both = db.create_table("ev_apache_both", schema);
+  for (int i = 0; i < 60; ++i) {
+    const db::Table::Row row{db::Value{msec((i * 7) % 40 + 3)},
+                             db::Value{msec(1 + i % 9)}};
+    (i % 3 == 0 ? web2 : web1).insert(row);
+  }
+  for (const db::Table* t : {&web1, &web2}) {
+    for (std::size_t r = 0; r < t->row_count(); ++r) {
+      both.insert({t->at(r, 0), t->at(r, 1)});
+    }
+  }
+  const PitSeries multi = pit_response_time_db_multi(
+      db, {"ev_apache_web1", "ev_apache_web2"}, msec(10));
+  const PitSeries concat = pit_response_time_db(db, "ev_apache_both", msec(10));
+  ASSERT_EQ(multi.max_rt_ms.size(), concat.max_rt_ms.size());
+  ASSERT_EQ(multi.avg_rt_ms.size(), concat.avg_rt_ms.size());
+  for (std::size_t i = 0; i < multi.max_rt_ms.size(); ++i) {
+    EXPECT_EQ(multi.max_rt_ms[i].time, concat.max_rt_ms[i].time);
+    EXPECT_EQ(multi.max_rt_ms[i].value, concat.max_rt_ms[i].value);
+    EXPECT_EQ(multi.avg_rt_ms[i].value, concat.avg_rt_ms[i].value);
+  }
+  EXPECT_EQ(multi.overall_avg_ms, concat.overall_avg_ms);
+  EXPECT_EQ(multi.overall_p50_ms, concat.overall_p50_ms);
 }
 
 TEST(QueueLength, FromEventTable) {
@@ -118,6 +154,48 @@ TEST(ResourceSeries, MissingTableOrColumnIsEmptyNotFatal) {
                   .empty());
   db.create_table("res_x", {{"ts_usec", db::DataType::kInt}});
   EXPECT_TRUE(resource_series(db, "res_x", "no_such_column").empty());
+}
+
+TEST(ResourceSeries, MatchesStableTimeSortOfScan) {
+  // Out-of-order appends, duplicate timestamps, NULL holes in both columns,
+  // and small sealed segments: the series must equal a brute-force scan of
+  // the rows, stably sorted by time.
+  db::Database db;
+  auto& t = db.create_table("res_x", {{"ts_usec", db::DataType::kInt},
+                                      {"cpu", db::DataType::kDouble}});
+  t.set_storage_config({.seal_rows = 16, .partition_usec = 0, .seal = true});
+  for (int i = 0; i < 200; ++i) {
+    const SimTime ts = msec((i * 37) % 50);  // 50 distinct times, shuffled
+    t.insert({i % 13 == 0 ? db::Value{} : db::Value{ts},
+              i % 11 == 0 ? db::Value{} : db::Value{static_cast<double>(i)}});
+  }
+  Series want;
+  for (std::size_t r = 0; r < t.row_count(); ++r) {
+    const auto ts = db::as_int(t.at(r, 0));
+    const auto v = db::as_double(t.at(r, 1));
+    if (ts && v) want.push_back({*ts, *v});
+  }
+  std::stable_sort(want.begin(), want.end(), [](const auto& a, const auto& b) {
+    return a.time < b.time;
+  });
+
+  const Series got = resource_series(db, "res_x", "cpu");
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].time, want[i].time) << i;
+    EXPECT_EQ(got[i].value, want[i].value) << i;
+  }
+}
+
+TEST(ResourceSeries, NonNumericOrMissingTimeColumnIsEmpty) {
+  db::Database db;
+  auto& text = db.create_table("res_text", {{"ts_usec", db::DataType::kText},
+                                            {"cpu", db::DataType::kDouble}});
+  text.insert({db::Value{std::string("noon")}, db::Value{1.0}});
+  EXPECT_TRUE(resource_series(db, "res_text", "cpu").empty());
+  auto& no_ts = db.create_table("res_no_ts", {{"cpu", db::DataType::kDouble}});
+  no_ts.insert({db::Value{1.0}});
+  EXPECT_TRUE(resource_series(db, "res_no_ts", "cpu").empty());
 }
 
 TEST(InteractionBreakdown, GroupsByServletPath) {

@@ -1,17 +1,18 @@
-// Property tests of the query engine's indexed paths: whatever plan runs —
-// sorted-index slice or brute-force scan — a query must return exactly the
-// same rows. The tables are randomized (unsorted timestamps, duplicates,
-// NULL holes, doubles) precisely because the analyses' warehouses are not.
+// Property tests of the TimeIndex and the SQL scan's index pushdown: with a
+// warm index bounding the scanned rows, a query must return exactly the rows
+// a brute-force scan (oracle.h) returns. The tables are randomized (unsorted
+// timestamps, duplicates, NULL holes, doubles) precisely because the
+// analyses' warehouses are not.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "db/database.h"
 #include "db/index.h"
-#include "db/query.h"
+#include "db/sql.h"
+#include "oracle.h"
 #include "transform/streaming.h"
 #include "util/rng.h"
 
@@ -48,6 +49,28 @@ void fill_random(Table& t, util::Rng& rng, int rows) {
   }
 }
 
+// `SELECT * FROM <table> WHERE <where>` must return exactly `rows` of `t`,
+// in insertion order.
+void expect_sql_rows(const db::Database& db, const Table& t,
+                     const std::string& where,
+                     const std::vector<std::size_t>& rows) {
+  SCOPED_TRACE(where);
+  expect_same_result(
+      db::Sql::execute(db, "SELECT * FROM " + t.name() + " WHERE " + where),
+      test::oracle::select(t, rows));
+}
+
+// The half-open range [lo, hi) on `col`, through SQL and through the oracle.
+void expect_range_matches(const db::Database& db, const Table& t,
+                          const std::string& col, std::int64_t lo,
+                          std::int64_t hi) {
+  expect_sql_rows(db, t,
+                  col + " >= " + std::to_string(lo) + " AND " + col + " < " +
+                      std::to_string(hi),
+                  test::oracle::rows_in_range(t, col, static_cast<double>(lo),
+                                              static_cast<double>(hi)));
+}
+
 db::Schema event_schema() {
   return {{"ts", DataType::kInt},
           {"t2", DataType::kDouble},
@@ -60,19 +83,23 @@ TEST(DbIndex, IndexedTimeRangeMatchesScanOnRandomTables) {
     db::Database db;
     Table& t = db.create_table("ev", event_schema());
     fill_random(t, rng, 200 + static_cast<int>(rng.next_below(200)));
+    (void)t.time_index("ts");
+    (void)t.time_index("t2");
     for (int q = 0; q < 10; ++q) {
       const auto lo = static_cast<std::int64_t>(rng.next_below(220)) - 10;
       const auto hi = lo + static_cast<std::int64_t>(rng.next_below(120));
       for (const char* col : {"ts", "t2"}) {
-        SCOPED_TRACE(std::string(col) + " [" + std::to_string(lo) + "," +
-                     std::to_string(hi) + ")");
-        const Table indexed =
-            db::Query(t).time_range(col, lo, hi).run();
-        const Table scanned =
-            db::Query(t).use_index(false).time_range(col, lo, hi).run();
-        expect_same_result(indexed, scanned);
+        expect_range_matches(db, t, col, lo, hi);
       }
     }
+    // The warm index is what bounded the scan.
+    const Table plan = db::Sql::execute(
+        db, "EXPLAIN SELECT * FROM ev WHERE ts >= 50 AND ts < 60");
+    std::string lines;
+    for (std::size_t r = 0; r < plan.row_count(); ++r) {
+      lines += db::value_to_string(plan.at(r, 0)) + "\n";
+    }
+    EXPECT_NE(lines.find("time-index"), std::string::npos) << lines;
   }
 }
 
@@ -81,10 +108,10 @@ TEST(DbIndex, IndexStaysConsistentAcrossAppends) {
   db::Database db;
   Table& t = db.create_table("ev", event_schema());
   fill_random(t, rng, 100);
-  // First query builds the index; later inserts must maintain it (both the
+  // The index is built once; later inserts must maintain it (both the
   // in-order fast path and out-of-order sorted inserts).
-  ASSERT_EQ(db::Query(t).time_range("ts", 0, 200).count(),
-            db::Query(t).use_index(false).time_range("ts", 0, 200).count());
+  ASSERT_NE(t.time_index("ts"), nullptr);
+  expect_range_matches(db, t, "ts", 0, 200);
   for (int batch = 0; batch < 5; ++batch) {
     fill_random(t, rng, 50);
     const db::TimeIndex* idx = t.time_index("ts");
@@ -94,9 +121,7 @@ TEST(DbIndex, IndexStaysConsistentAcrossAppends) {
     for (std::size_t i = 1; i < entries.size(); ++i) {
       ASSERT_LT(entries[i - 1], entries[i]);
     }
-    expect_same_result(
-        db::Query(t).time_range("ts", 40, 160).run(),
-        db::Query(t).use_index(false).time_range("ts", 40, 160).run());
+    expect_range_matches(db, t, "ts", 40, 160);
   }
 }
 
@@ -105,14 +130,19 @@ TEST(DbIndex, EqualityFastPathsMatchGenericWhereEq) {
   db::Database db;
   Table& t = db.create_table("ev", event_schema());
   fill_random(t, rng, 300);
-  for (std::int64_t v : {0, 50, 150, 199, 777}) {
-    expect_same_result(db::Query(t).where_eq_int("ts", v).run(),
-                       db::Query(t).where_eq("ts", Value{v}).run());
+  const auto equal_to = [&t](std::int64_t v) {
+    return test::oracle::rows_where(t, [v](const Table& tt, std::size_t r) {
+      const auto ts = db::as_int(tt.at(r, 0));
+      return ts && *ts == v;
+    });
+  };
+  // Cold (scan only), then warm: equality rides the index slice.
+  for (const bool warm : {false, true}) {
+    if (warm) (void)t.time_index("ts");
+    for (std::int64_t v : {0, 50, 150, 199, 777}) {
+      expect_sql_rows(db, t, "ts = " + std::to_string(v), equal_to(v));
+    }
   }
-  // Warm index + equality rides the index slice.
-  (void)t.time_index("ts");
-  expect_same_result(db::Query(t).where_eq_int("ts", 50).run(),
-                     db::Query(t).use_index(false).where_eq_int("ts", 50).run());
 }
 
 TEST(DbIndex, TimeIndexRangeHandlesDuplicatesAndBounds) {
@@ -127,12 +157,11 @@ TEST(DbIndex, TimeIndexRangeHandlesDuplicatesAndBounds) {
   EXPECT_EQ(idx->min_time(), 1);
   EXPECT_EQ(idx->max_time(), 9);
   EXPECT_EQ(idx->range(5, 6).size(), 4u);
-  EXPECT_EQ(idx->equal(5).size(), 4u);
   EXPECT_EQ(idx->range(0, 100).size(), 6u);
   EXPECT_EQ(idx->range(6, 9).size(), 0u);   // hi exclusive
   EXPECT_EQ(idx->range(9, 10).size(), 1u);
   // Equal-time entries preserve insertion (row) order.
-  const auto fives = idx->equal(5);
+  const auto fives = idx->range(5, 6);
   for (std::size_t i = 1; i < fives.size(); ++i) {
     EXPECT_LT(fives[i - 1].row, fives[i].row);
   }
@@ -147,70 +176,17 @@ TEST(DbIndex, OrderByIsDeterministicOnTies) {
     t.insert({Value{std::int64_t{42}}, Value{},
               Value{static_cast<std::int64_t>(i)}});
   }
-  const Table asc = db::Query(t).order_by("ts").run();
+  const Table asc = db::Sql::execute(db, "SELECT * FROM ev ORDER BY ts");
   for (std::size_t r = 0; r < asc.row_count(); ++r) {
     EXPECT_EQ(std::get<std::int64_t>(asc.at(r, 2)),
               static_cast<std::int64_t>(r));
   }
-  const Table desc = db::Query(t).order_by("ts", false).run();
+  const Table desc =
+      db::Sql::execute(db, "SELECT * FROM ev ORDER BY ts DESC");
   for (std::size_t r = 0; r < desc.row_count(); ++r) {
     EXPECT_EQ(std::get<std::int64_t>(desc.at(r, 2)),
               static_cast<std::int64_t>(r));
   }
-}
-
-TEST(DbIndex, WindowCursorMatchesPerWindowQueries) {
-  util::Rng rng(5);
-  db::Database db;
-  Table& t = db.create_table("ev", event_schema());
-  fill_random(t, rng, 400);
-  for (const auto [width, step] : {std::pair<util::SimTime, util::SimTime>{25, 25},
-                                   {40, 10}, {10, 30}}) {
-    SCOPED_TRACE("width=" + std::to_string(width) +
-                 " step=" + std::to_string(step));
-    auto cursor = db::Query(t).windows("ts", width, step, 0, 200);
-    db::Query::Window w;
-    util::SimTime expect_begin = 0;
-    while (cursor.next(w)) {
-      EXPECT_EQ(w.begin, expect_begin);
-      EXPECT_EQ(w.end, std::min<util::SimTime>(w.begin + width, 200));
-      const auto brute =
-          db::Query(t).use_index(false).time_range("ts", w.begin, w.end).run();
-      ASSERT_EQ(w.entries.size(), brute.row_count());
-      // Same multiset of timestamps (the scan returns rows in insertion
-      // order, the cursor in time order — sort both to compare).
-      std::vector<std::int64_t> cursor_times, brute_times;
-      for (std::size_t i = 0; i < w.entries.size(); ++i) {
-        cursor_times.push_back(w.entries[i].time);
-        brute_times.push_back(std::get<std::int64_t>(brute.at(i, 0)));
-        if (i > 0) EXPECT_LT(w.entries[i - 1], w.entries[i]);  // sorted
-      }
-      std::sort(brute_times.begin(), brute_times.end());
-      EXPECT_EQ(cursor_times, brute_times);
-      expect_begin += step;
-    }
-    EXPECT_GE(expect_begin, 200);  // covered the whole span
-  }
-}
-
-TEST(DbIndex, WindowCursorAppliesExtraFilters) {
-  db::Database db;
-  Table& t = db.create_table("ev", event_schema());
-  for (int i = 0; i < 100; ++i) {
-    t.insert({Value{static_cast<std::int64_t>(i)}, Value{},
-              Value{static_cast<std::int64_t>(i % 4)}});
-  }
-  auto cursor =
-      db::Query(t).where_eq_int("seq", 1).windows("ts", 20, 20, 0, 100);
-  db::Query::Window w;
-  std::size_t total = 0;
-  while (cursor.next(w)) {
-    for (const auto& e : w.entries) {
-      EXPECT_EQ(std::get<std::int64_t>(t.at(e.row, 2)), 1);
-    }
-    total += w.entries.size();
-  }
-  EXPECT_EQ(total, 25u);
 }
 
 // The streaming transformer's schema-widening rebuild drops and re-creates
@@ -238,9 +214,7 @@ TEST(DbIndex, StreamingWideningRebuildKeepsIndexConsistent) {
     const db::TimeIndex* idx = t.time_index("ts_usec");
     ASSERT_NE(idx, nullptr);
     EXPECT_EQ(idx->size(), 3u);  // prewarmed + maintained while streaming
-    expect_same_result(
-        db::Query(t).time_range("ts_usec", 15, 35).run(),
-        db::Query(t).use_index(false).time_range("ts_usec", 15, 35).run());
+    expect_range_matches(db, t, "ts_usec", 15, 35);
   }
 
   // Widen ts_usec to Double: the table is rebuilt, rows re-typed, and the
@@ -256,9 +230,7 @@ TEST(DbIndex, StreamingWideningRebuildKeepsIndexConsistent) {
   EXPECT_EQ(idx->size(), 5u);
   EXPECT_EQ(idx->min_time(), 5);
   EXPECT_EQ(idx->max_time(), 30);
-  expect_same_result(
-      db::Query(t).time_range("ts_usec", 10, 27).run(),
-      db::Query(t).use_index(false).time_range("ts_usec", 10, 27).run());
+  expect_range_matches(db, t, "ts_usec", 10, 27);
   // The load catalog's time range came off the same index.
   const Table& cat = db.get(db::Database::kLoadCatalogTable);
   ASSERT_EQ(cat.row_count(), 1u);

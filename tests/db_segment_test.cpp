@@ -8,9 +8,11 @@
 #include <vector>
 
 #include "db/database.h"
-#include "db/query.h"
 #include "db/segment/snapshot.h"
+#include "db/sql.h"
 #include "db/table.h"
+#include "oracle.h"
+#include "temp_dir.h"
 #include "transform/warehouse_io.h"
 
 namespace mscope::db {
@@ -72,16 +74,17 @@ TEST(SegmentStore, NullRunsInDeltaColumns) {
 
 TEST(SegmentStore, SealBoundaryOnWindowEdge) {
   // Rows straddling whole-second partition boundaries of the anchor column.
-  // The seal policy must cut segments exactly at partition multiples, and a
-  // window walk whose edges coincide with those boundaries must see exactly
-  // the same entries as a never-sealed table.
+  // The seal policy must cut segments exactly at partition multiples, and
+  // per-second windows whose edges coincide with those boundaries must see
+  // exactly the same rows as in a never-sealed table.
   const Schema schema{{"ts_usec", DataType::kInt}, {"v", DataType::kInt}};
-  Table sealed("ev", schema);
+  Database sealed_db, flat_db;
+  Table& sealed = sealed_db.create_table("ev", schema);
   // seal_rows above the per-partition row count (40), so seals trim to the
   // partition boundary instead of taking the whole tail.
   sealed.set_storage_config(
       {.seal_rows = 48, .partition_usec = 1'000'000, .seal = true});
-  Table flat("ev", schema);
+  Table& flat = flat_db.create_table("ev", schema);
   flat.set_storage_config({.seal = false});
   for (std::int64_t r = 0; r < 130; ++r) {
     // 40 rows per second; every 40th row lands exactly on the boundary.
@@ -104,38 +107,37 @@ TEST(SegmentStore, SealBoundaryOnWindowEdge) {
     }
   }
 
-  // windows() with edges on the partition boundaries: identical walks.
-  Query::Window ws, wf;
-  auto cs = Query(sealed).windows("ts_usec", util::sec(1));
-  auto cf = Query(flat).windows("ts_usec", util::sec(1));
-  while (cs.next(ws)) {
-    ASSERT_TRUE(cf.next(wf));
-    EXPECT_EQ(ws.begin, wf.begin);
-    ASSERT_EQ(ws.entries.size(), wf.entries.size()) << ws.begin;
-    for (std::size_t i = 0; i < ws.entries.size(); ++i) {
-      EXPECT_EQ(ws.entries[i].row, wf.entries[i].row);
-    }
-  }
-  EXPECT_FALSE(cf.next(wf));
+  // Per-second roll-up: identical buckets in both layouts.
+  const std::string rollup =
+      "SELECT BUCKET(ts_usec, 1000000), COUNT(*), MIN(v), MAX(v) FROM ev "
+      "GROUP BY BUCKET(ts_usec, 1000000)";
+  const Table rs = Sql::execute(sealed_db, rollup);
+  EXPECT_EQ(rs.row_count(), 4u);
+  expect_tables_equal(rs, Sql::execute(flat_db, rollup));
 
-  // time_range with lo/hi exactly on a boundary: zone-map skipping must not
+  // Windows with lo/hi exactly on a boundary: zone-map skipping must not
   // change the result (boundary row belongs to the upper partition).
   for (std::int64_t s = 0; s <= 3; ++s) {
     const auto lo = util::sec(s), hi = util::sec(s + 1);
-    const auto a = Query(sealed).time_range("ts_usec", lo, hi).count();
-    const auto b = Query(flat).time_range("ts_usec", lo, hi).count();
-    const auto c =
-        Query(sealed).use_columnar(false).use_index(false).time_range(
-            "ts_usec", lo, hi).count();
-    EXPECT_EQ(a, b) << s;
-    EXPECT_EQ(a, c) << s;
+    SCOPED_TRACE(s);
+    const std::string window = "SELECT * FROM ev WHERE ts_usec >= " +
+                               std::to_string(lo) + " AND ts_usec < " +
+                               std::to_string(hi);
+    const Table a = Sql::execute(sealed_db, window);
+    expect_tables_equal(a, Sql::execute(flat_db, window));
+    expect_tables_equal(
+        a, test::oracle::select(
+               sealed, test::oracle::rows_in_range(
+                           sealed, "ts_usec", static_cast<double>(lo),
+                           static_cast<double>(hi))));
   }
 }
 
 TEST(SegmentStore, ColumnarScanMatchesRowScan) {
-  Table t("ev", {{"ts_usec", DataType::kInt},
-                 {"url", DataType::kText},
-                 {"dur", DataType::kDouble}});
+  Database db;
+  Table& t = db.create_table("ev", {{"ts_usec", DataType::kInt},
+                                    {"url", DataType::kText},
+                                    {"dur", DataType::kDouble}});
   t.set_storage_config({.seal_rows = 32, .partition_usec = 0, .seal = true});
   for (std::int64_t r = 0; r < 500; ++r) {
     t.insert({iv(r * 100), tv(r % 3 == 0 ? "/a" : "/b"),
@@ -144,25 +146,33 @@ TEST(SegmentStore, ColumnarScanMatchesRowScan) {
   ASSERT_GT(t.storage().sealed_row_count(), 0u);
   ASSERT_FALSE(t.storage().tail().empty());
 
-  const Table fast = Query(t).where_eq_str("url", "/a").run();
-  const Table slow =
-      Query(t).use_columnar(false).where_eq_str("url", "/a").run();
-  expect_tables_equal(fast, slow);
-
-  const Table fr = Query(t)
-                       .where_int_range("dur", 10, 100)
-                       .where_eq_int("ts_usec", 4000)
-                       .run();
-  const Table sr = Query(t)
-                       .use_columnar(false)
-                       .use_index(false)
-                       .where_int_range("dur", 10, 100)
-                       .where_eq_int("ts_usec", 4000)
-                       .run();
-  expect_tables_equal(fr, sr);
+  // The columnar scan (dictionary probe, zone maps) against a row-at-a-time
+  // scan through Table::at.
+  const auto ts_c = *t.column_index("ts_usec");
+  const auto url_c = *t.column_index("url");
+  const auto dur_c = *t.column_index("dur");
+  expect_tables_equal(
+      Sql::execute(db, "SELECT * FROM ev WHERE url = '/a'"),
+      test::oracle::select(
+          t, test::oracle::rows_where(t, [&](const Table& tt, std::size_t r) {
+            return as_text(tt.at(r, url_c)) == "/a";
+          })));
+  expect_tables_equal(
+      Sql::execute(db,
+                   "SELECT * FROM ev WHERE dur >= 10 AND dur < 100 AND "
+                   "ts_usec = 4000"),
+      test::oracle::select(
+          t, test::oracle::rows_where(t, [&](const Table& tt, std::size_t r) {
+            const auto d = as_double(tt.at(r, dur_c));
+            const auto ts = as_int(tt.at(r, ts_c));
+            return d && *d >= 10 && *d < 100 && ts && *ts == 4000;
+          })));
   // A filter value outside every zone map matches nothing (and must not
   // crash on the skip path).
-  EXPECT_EQ(Query(t).where_eq_int("ts_usec", -5).count(), 0u);
+  EXPECT_EQ(std::get<std::int64_t>(
+                Sql::execute(db, "SELECT COUNT(*) FROM ev WHERE ts_usec = -5")
+                    .at(0, 0)),
+            0);
 }
 
 TEST(SegmentStore, WidenWithSealedSegments) {
@@ -224,8 +234,8 @@ TEST(SegmentStore, SnapshotRoundTripMatchesCsv) {
   db.record_node("web1", "apache", 2);
   db.record_load("web1/access.log", "ev_apache_web1", 300, 0, 299'000);
 
-  const fs::path base = fs::temp_directory_path() / "mscope_segment_test";
-  fs::remove_all(base);
+  const test::TempDir tmp("segment");
+  const fs::path& base = tmp.path();
   transform::WarehouseIO::save(db, base / "csv");
   transform::WarehouseIO::save_snapshot(db, base / "bin");
   EXPECT_TRUE(fs::exists(base / "bin" / "ev_apache_web1.mseg"));
@@ -248,7 +258,6 @@ TEST(SegmentStore, SnapshotRoundTripMatchesCsv) {
   bytes[4] = static_cast<char>(segment::kSnapshotVersion + 1);
   std::istringstream in(bytes);
   EXPECT_THROW((void)segment::read_table(in), std::runtime_error);
-  fs::remove_all(base);
 }
 
 TEST(SegmentStore, ClearReleasesMemory) {

@@ -1,10 +1,10 @@
 // Tests for the vectorized SQL engine (db/sqlengine/): the new grammar
 // (JOIN, ALIGN, GROUP BY, BUCKET, BETWEEN, IN, OR, NOT, aliases, EXPLAIN),
-// cell-for-cell parity with the native Query oracle on the analyses the
-// paper's figures run (time-bucketed roll-ups, cross-tier joins), a
-// property test of randomized predicates against a row-at-a-time oracle,
-// and fuzz-ish parser robustness (truncations and garbage must throw
-// cleanly, never crash).
+// cell-for-cell parity with the brute-force oracle (oracle.h) on the
+// analyses the paper's figures run (time-bucketed roll-ups, cross-tier
+// joins), a property test of randomized predicates against a row-at-a-time
+// oracle, and fuzz-ish parser robustness (truncations and garbage must
+// throw cleanly, never crash).
 
 #include <algorithm>
 #include <cmath>
@@ -17,15 +17,17 @@
 #include <gtest/gtest.h>
 
 #include "db/database.h"
-#include "db/query.h"
 #include "db/sql.h"
 #include "db/sqlengine/engine.h"
 #include "db/sqlengine/token.h"
+#include "oracle.h"
 #include "util/rng.h"
 #include "util/simtime.h"
 
 namespace mscope::db {
 namespace {
+
+namespace oracle = test::oracle;
 
 // Two event tiers sharing request ids, sized past the 4096-row segment seal
 // so queries exercise sealed columnar segments, zone maps and the tail.
@@ -112,14 +114,14 @@ TEST_F(SqlEngineFixture, TimeBucketedGroupByMatchesNativeOracle) {
       db_,
       "SELECT BUCKET(ts_usec, 1000000), COUNT(*), AVG(rt_ms), MAX(rt_ms) "
       "FROM ev_apache GROUP BY BUCKET(ts_usec, 1000000)");
-  const Table native = Query(apache()).group_by_bucket(
-      "ts_usec", util::sec(1),
-      {{Query::AggKind::kCount, ""},
-       {Query::AggKind::kMean, "rt_ms"},
-       {Query::AggKind::kMax, "rt_ms"}});
-  // Same cells in the same (ascending bucket) order; names differ
-  // (bucket_ts_usec/avg_rt_ms vs bucket_usec/mean_rt_ms) by design.
-  expect_cells_equal(sql, native);
+  const Table want = oracle::group_by_bucket(
+      apache(), oracle::all_rows(apache()), "ts_usec", util::sec(1),
+      {{oracle::Agg::kCount, ""},
+       {oracle::Agg::kMean, "rt_ms"},
+       {oracle::Agg::kMax, "rt_ms"}});
+  // Same cells in the same (ascending bucket) order; only the oracle's
+  // column names differ.
+  expect_cells_equal(sql, want);
   EXPECT_EQ(sql.schema()[0].name, "bucket_ts_usec");
   EXPECT_EQ(sql.schema()[2].name, "avg_rt_ms");
 }
@@ -129,13 +131,16 @@ TEST_F(SqlEngineFixture, FilteredGroupByMatchesNativeOracle) {
       db_,
       "SELECT BUCKET(ts_usec, 1000000), COUNT(*), SUM(rt_ms) FROM ev_apache "
       "WHERE url = '/rubbos/ViewStory' GROUP BY BUCKET(ts_usec, 1000000)");
-  const Table native =
-      Query(apache())
-          .where_eq_str("url", "/rubbos/ViewStory")
-          .group_by_bucket("ts_usec", util::sec(1),
-                           {{Query::AggKind::kCount, ""},
-                            {Query::AggKind::kSum, "rt_ms"}});
-  expect_cells_equal(sql, native);
+  const std::size_t url = *apache().column_index("url");
+  const Table want = oracle::group_by_bucket(
+      apache(),
+      oracle::rows_where(apache(),
+                         [url](const Table& t, std::size_t r) {
+                           return as_text(t.at(r, url)) == "/rubbos/ViewStory";
+                         }),
+      "ts_usec", util::sec(1),
+      {{oracle::Agg::kCount, ""}, {oracle::Agg::kSum, "rt_ms"}});
+  expect_cells_equal(sql, want);
 }
 
 TEST_F(SqlEngineFixture, CrossTierHashJoinMatchesNativeOracle) {
@@ -143,11 +148,11 @@ TEST_F(SqlEngineFixture, CrossTierHashJoinMatchesNativeOracle) {
       db_,
       "SELECT a.req_id, a.rt_ms, t.svc_ms FROM ev_apache AS a "
       "JOIN ev_tomcat AS t ON a.req_id = t.req_id");
-  const Table native = Query::inner_join(apache(), "req_id", tomcat(),
-                                         "req_id");
+  const Table joined =
+      oracle::hash_join(apache(), "req_id", tomcat(), "req_id");
   ASSERT_EQ(sql.row_count(), tomcat().row_count());
   auto got = rows_of(sql);
-  auto want = rows_of(native, {"ev_apache.req_id", "ev_apache.rt_ms",
+  auto want = rows_of(joined, {"ev_apache.req_id", "ev_apache.rt_ms",
                                "ev_tomcat.svc_ms"});
   // Join row order is an implementation detail; compare as sets.
   std::sort(got.begin(), got.end());
@@ -308,11 +313,10 @@ TEST_F(SqlEngineFixture, TimeIndexPushdownMatchesScan) {
       db_,
       "SELECT COUNT(*) FROM ev_apache WHERE ts_usec >= 1500000 AND "
       "ts_usec < 3250000");
-  const auto native = Query(apache())
-                          .time_range("ts_usec", 1500000, 3250000)
-                          .count();
+  const auto want =
+      oracle::rows_in_range(apache(), "ts_usec", 1500000, 3250000).size();
   EXPECT_EQ(std::get<std::int64_t>(indexed.at(0, 0)),
-            static_cast<std::int64_t>(native));
+            static_cast<std::int64_t>(want));
 }
 
 // --- property test: random predicates vs a row-at-a-time oracle --------------

@@ -8,7 +8,6 @@
 // mscope_meta_* tables.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <filesystem>
@@ -22,20 +21,14 @@
 #include "fleet/fleet_collection.h"
 #include "fleet/sharded_warehouse.h"
 #include "fleet/topology.h"
+#include "temp_dir.h"
 
 namespace mscope::fleet {
 namespace {
 
-namespace fs = std::filesystem;
 using util::msec;
 using util::sec;
 using util::SimTime;
-
-fs::path unique_dir(const std::string& stem) {
-  // Per-process: gtest_discover_tests runs each TEST as its own ctest entry,
-  // so parallel ctest would race on a shared directory.
-  return fs::temp_directory_path() / (stem + std::to_string(::getpid()));
-}
 
 /// Cell-by-cell equality across the Catalog seam — works for a flat
 /// Database and a ShardedWarehouse alike.
@@ -176,7 +169,8 @@ class FleetParityFixture : public ::testing::Test {
     cfg.workload = 12000;
     cfg.duration = sec(14);
     cfg.nodes_per_tier = {16, 16, 16, 16};  // 64 monitored servers
-    cfg.log_dir = unique_dir("mscope_fleet_parity_");
+    dir_ = new test::TempDir("fleet_parity");
+    cfg.log_dir = dir_->path();
     // Flush on db1 ONLY. At fleet scale a stall on one of 16 backends only
     // touches ~1/16 of the queries, so it takes a longer flush (a bigger
     // redo log) for the pile-up to clear the front tier's VLRT bar — the
@@ -205,14 +199,15 @@ class FleetParityFixture : public ::testing::Test {
   }
 
   static void TearDownTestSuite() {
-    fs::remove_all(exp_->config().log_dir);
     delete fleet_;
     delete exp_;
     delete detector_;
     delete fleet_db_;
     delete db_batch_;
+    delete dir_;
   }
 
+  static test::TempDir* dir_;
   static core::Experiment* exp_;
   static core::OnlineVsbDetector* detector_;
   static ShardedWarehouse* fleet_db_;
@@ -220,6 +215,7 @@ class FleetParityFixture : public ::testing::Test {
   static db::Database* db_batch_;
 };
 
+test::TempDir* FleetParityFixture::dir_ = nullptr;
 core::Experiment* FleetParityFixture::exp_ = nullptr;
 core::OnlineVsbDetector* FleetParityFixture::detector_ = nullptr;
 ShardedWarehouse* FleetParityFixture::fleet_db_ = nullptr;
@@ -282,16 +278,17 @@ TEST_F(FleetParityFixture, DynamicTablesReadZeroCopyFromTheirShard) {
 // --- Loss at either hop: detected, sized, attributed -----------------------
 
 struct LossRun {
+  test::TempDir dir;
   core::TestbedConfig cfg;
   std::unique_ptr<core::Experiment> exp;
   std::unique_ptr<ShardedWarehouse> db;
   std::unique_ptr<FleetCollection> fleet;
 
-  explicit LossRun(const std::string& dir_stem) {
+  explicit LossRun(const std::string& tag) : dir(tag) {
     cfg.workload = 1000;
     cfg.duration = sec(8);
     cfg.nodes_per_tier = {1, 2, 1, 2};
-    cfg.log_dir = unique_dir(dir_stem);
+    cfg.log_dir = dir.path();
     exp = std::make_unique<core::Experiment>(cfg);
 
     FleetCollection::Config fc;
@@ -309,8 +306,6 @@ struct LossRun {
                                               nullptr, fc);
   }
 
-  ~LossRun() { fs::remove_all(cfg.log_dir); }
-
   void run() {
     exp->run();
     fleet->finish();
@@ -318,7 +313,7 @@ struct LossRun {
 };
 
 TEST(FleetLoss, LeafHoleSurvivesReframingAcrossBothHops) {
-  LossRun r("mscope_fleet_leafloss_");
+  LossRun r("fleet_leafloss");
   // Kill db1's uplink to its rack relay for a window mid-run: the shipper
   // abandons batches, opening a hole in db1's byte streams.
   for (const auto& ch : r.fleet->channels()) {
@@ -355,7 +350,7 @@ TEST(FleetLoss, LeafHoleSurvivesReframingAcrossBothHops) {
 }
 
 TEST(FleetLoss, RelayUplinkFailureIsAttributedToItsLeaves) {
-  LossRun r("mscope_fleet_relayloss_");
+  LossRun r("fleet_relayloss");
   const auto rack =
       static_cast<std::size_t>(r.fleet->topology().rack_of("db1"));
   // Kill the relay's own uplink mid-run: whole pre-merged frames abandon,
@@ -388,12 +383,13 @@ TEST(FleetLoss, RelayUplinkFailureIsAttributedToItsLeaves) {
 // --- Other tree depths stay lossless and parity-exact ----------------------
 
 void expect_depth_parity(int levels, int racks, int pods, int shards,
-                         const std::string& dir_stem) {
+                         const std::string& tag) {
+  const test::TempDir dir(tag);
   core::TestbedConfig cfg;
   cfg.workload = 800;
   cfg.duration = sec(6);
   cfg.nodes_per_tier = {1, 2, 1, 2};
-  cfg.log_dir = unique_dir(dir_stem);
+  cfg.log_dir = dir.path();
   core::Experiment exp(cfg);
 
   FleetCollection::Config fc;
@@ -416,15 +412,14 @@ void expect_depth_parity(int levels, int racks, int pods, int shards,
     for (const auto& p : fleet.pod_relays()) pod_frames += p->stats().frames_out;
     EXPECT_GT(pod_frames, 0u) << "the pod layer never forwarded";
   }
-  fs::remove_all(cfg.log_dir);
 }
 
 TEST(FleetDepth, DepthOneDegeneratesToTheFlatPipeline) {
-  expect_depth_parity(1, 0, 0, 1, "mscope_fleet_d1_");
+  expect_depth_parity(1, 0, 0, 1, "fleet_d1");
 }
 
 TEST(FleetDepth, DepthThreeAddsAPodLayerWithoutChangingTheData) {
-  expect_depth_parity(3, 3, 2, 2, "mscope_fleet_d3_");
+  expect_depth_parity(3, 3, 2, 2, "fleet_d3");
 }
 
 }  // namespace

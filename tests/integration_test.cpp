@@ -10,18 +10,14 @@
 #include <filesystem>
 
 #include "core/milliscope.h"
+#include "temp_dir.h"
 #include "util/id_codec.h"
 
 namespace mscope::core {
 namespace {
 
-namespace fs = std::filesystem;
 using util::msec;
 using util::sec;
-
-fs::path temp_dir(const std::string& tag) {
-  return fs::temp_directory_path() / ("mscope_integration_" + tag);
-}
 
 class ScenarioAFixture : public ::testing::Test {
  protected:
@@ -29,7 +25,8 @@ class ScenarioAFixture : public ::testing::Test {
     TestbedConfig cfg;
     cfg.workload = 1500;
     cfg.duration = sec(14);
-    cfg.log_dir = temp_dir("a");
+    dir_ = new test::TempDir("integration_a");
+    cfg.log_dir = dir_->path();
     cfg.scenario_a = ScenarioA{};
     exp_ = new Experiment(cfg);
     exp_->run();
@@ -39,14 +36,16 @@ class ScenarioAFixture : public ::testing::Test {
   static void TearDownTestSuite() {
     delete exp_;
     delete db_;
-    fs::remove_all(temp_dir("a"));
+    delete dir_;
   }
 
+  static test::TempDir* dir_;
   static Experiment* exp_;
   static db::Database* db_;
   static transform::DataTransformer::Report report_;
 };
 
+test::TempDir* ScenarioAFixture::dir_ = nullptr;
 Experiment* ScenarioAFixture::exp_ = nullptr;
 db::Database* ScenarioAFixture::db_ = nullptr;
 transform::DataTransformer::Report ScenarioAFixture::report_;
@@ -159,7 +158,8 @@ class ScenarioBFixture : public ::testing::Test {
     TestbedConfig cfg;
     cfg.workload = 1500;
     cfg.duration = sec(6);
-    cfg.log_dir = temp_dir("b");
+    dir_ = new test::TempDir("integration_b");
+    cfg.log_dir = dir_->path();
     cfg.scenario_b = ScenarioB::figure8();
     exp_ = new Experiment(cfg);
     exp_->run();
@@ -169,13 +169,15 @@ class ScenarioBFixture : public ::testing::Test {
   static void TearDownTestSuite() {
     delete exp_;
     delete db_;
-    fs::remove_all(temp_dir("b"));
+    delete dir_;
   }
 
+  static test::TempDir* dir_;
   static Experiment* exp_;
   static db::Database* db_;
 };
 
+test::TempDir* ScenarioBFixture::dir_ = nullptr;
 Experiment* ScenarioBFixture::exp_ = nullptr;
 db::Database* ScenarioBFixture::db_ = nullptr;
 
@@ -254,7 +256,9 @@ TEST(OverheadIntegration, MonitorsCostOneToThreePercentCpu) {
     cfg.event_monitors = instrumented;
     cfg.resource_monitors = false;  // isolate the event monitors' cost
     cfg.capture_messages = false;
-    cfg.log_dir = temp_dir(instrumented ? "on" : "off");
+    const test::TempDir dir(instrumented ? "integration_on"
+                                         : "integration_off");
+    cfg.log_dir = dir.path();
     Experiment exp(cfg);
     exp.run();
     struct Out {
@@ -265,7 +269,6 @@ TEST(OverheadIntegration, MonitorsCostOneToThreePercentCpu) {
     Out out{exp.testbed().node_stats(),
             mean_response_ms(exp.testbed().clients().completed()),
             exp.testbed().clients().completed().size()};
-    fs::remove_all(cfg.log_dir);
     return out;
   };
   const auto on = run(true);

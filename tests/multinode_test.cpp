@@ -5,16 +5,15 @@
 // replica stalls, the diagnosis names that node.
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <filesystem>
 
 #include "core/milliscope.h"
+#include "temp_dir.h"
 
 namespace mscope::core {
 namespace {
 
-namespace fs = std::filesystem;
 using util::msec;
 using util::sec;
 
@@ -25,10 +24,8 @@ class MultiNodeFixture : public ::testing::Test {
     cfg.workload = 1500;
     cfg.duration = sec(12);
     cfg.nodes_per_tier = {1, 2, 1, 2};  // the paper's Fig. 1 deployment
-    // Unique per process: gtest_discover_tests runs each TEST as its own
-    // ctest entry, so parallel ctest would race on a shared directory.
-    cfg.log_dir = fs::temp_directory_path() /
-                  ("mscope_multinode_test_" + std::to_string(::getpid()));
+    dir_ = new test::TempDir("multinode");
+    cfg.log_dir = dir_->path();
     cfg.scenario_a = ScenarioA{};  // flush on db1 ONLY (replica 0)
     exp_ = new Experiment(cfg);
     exp_->run();
@@ -36,16 +33,18 @@ class MultiNodeFixture : public ::testing::Test {
     report_ = exp_->load_warehouse(*db_);
   }
   static void TearDownTestSuite() {
-    fs::remove_all(exp_->config().log_dir);
     delete exp_;
     delete db_;
+    delete dir_;
   }
 
+  static test::TempDir* dir_;
   static Experiment* exp_;
   static db::Database* db_;
   static transform::DataTransformer::Report report_;
 };
 
+test::TempDir* MultiNodeFixture::dir_ = nullptr;
 Experiment* MultiNodeFixture::exp_ = nullptr;
 db::Database* MultiNodeFixture::db_ = nullptr;
 transform::DataTransformer::Report MultiNodeFixture::report_;

@@ -14,16 +14,16 @@
 #include <vector>
 
 #include "core/milliscope.h"
-#include "db/query.h"
+#include "db/sql.h"
 #include "obs/log.h"
 #include "obs/meta_exporter.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "temp_dir.h"
 
 namespace mscope {
 namespace {
 
-namespace fs = std::filesystem;
 using util::sec;
 using util::SimTime;
 
@@ -232,6 +232,11 @@ TEST(ObsTrace, ChromeJsonIsWellFormedAndSkipsOpenSpans) {
 
 // --- MetaExporter: registry -> warehouse round trip ------------------------
 
+// The single cell of a one-row SQL result, as a double.
+double sql_scalar(const db::Catalog& db, const std::string& query) {
+  return *db::as_double(db::Sql::execute(db, query).at(0, 0));
+}
+
 TEST(ObsExporter, MetricsRoundTripMatchesSnapshot) {
   obs::Registry reg;
   reg.counter("rt.counter").add(42);
@@ -246,24 +251,24 @@ TEST(ObsExporter, MetricsRoundTripMatchesSnapshot) {
   ASSERT_EQ(t.row_count(), 2u);
 
   // Query the monitor's own health with the same engine it measures.
-  const double counter_v = db::Query(t)
-                               .where_eq_str("name", "rt.counter")
-                               .aggregate(db::Query::AggKind::kMax, "value");
-  EXPECT_DOUBLE_EQ(counter_v, 42.0);
-  const double gauge_v = db::Query(t)
-                             .where_eq_str("name", "rt.gauge")
-                             .aggregate(db::Query::AggKind::kMin, "value");
-  EXPECT_DOUBLE_EQ(gauge_v, -7.0);
-  EXPECT_EQ(db::Query(t).where_eq_int("ts_usec", sec(5)).count(), 2u);
+  const std::string from = " FROM " + meta.metrics_table();
+  EXPECT_DOUBLE_EQ(
+      sql_scalar(db, "SELECT MAX(value)" + from + " WHERE name = 'rt.counter'"),
+      42.0);
+  EXPECT_DOUBLE_EQ(
+      sql_scalar(db, "SELECT MIN(value)" + from + " WHERE name = 'rt.gauge'"),
+      -7.0);
+  EXPECT_EQ(sql_scalar(db, "SELECT COUNT(*)" + from + " WHERE ts_usec = " +
+                               std::to_string(sec(5))),
+            2.0);
 
   // A second export appends a new tick — a time series per metric name.
   reg.counter("rt.counter").add(8);
   meta.export_metrics(sec(6));
   EXPECT_EQ(t.row_count(), 4u);
-  const double latest = db::Query(t)
-                            .where_eq_str("name", "rt.counter")
-                            .aggregate(db::Query::AggKind::kMax, "value");
-  EXPECT_DOUBLE_EQ(latest, 50.0);
+  EXPECT_DOUBLE_EQ(
+      sql_scalar(db, "SELECT MAX(value)" + from + " WHERE name = 'rt.counter'"),
+      50.0);
   EXPECT_EQ(meta.stats().exports, 2u);
   EXPECT_EQ(meta.stats().metric_rows, 4u);
 }
@@ -280,12 +285,13 @@ TEST(ObsExporter, HistogramTableRoundTrip) {
   const db::Table& t = db.get(meta.hist_table());
   ASSERT_EQ(t.row_count(), 1u);
   const util::LatencyHistogram merged = h.merged();
-  EXPECT_EQ(db::Query(t).aggregate(db::Query::AggKind::kMax, "count"),
+  const db::Table maxes = db::Sql::execute(
+      db, "SELECT MAX(count), MAX(mean_usec), MAX(p99_usec) FROM " +
+              meta.hist_table());
+  EXPECT_EQ(std::get<double>(maxes.at(0, 0)),
             static_cast<double>(merged.count()));
-  EXPECT_DOUBLE_EQ(
-      db::Query(t).aggregate(db::Query::AggKind::kMax, "mean_usec"),
-      merged.mean());
-  EXPECT_EQ(db::Query(t).aggregate(db::Query::AggKind::kMax, "p99_usec"),
+  EXPECT_DOUBLE_EQ(std::get<double>(maxes.at(0, 1)), merged.mean());
+  EXPECT_EQ(std::get<double>(maxes.at(0, 2)),
             static_cast<double>(merged.percentile(99)));
   EXPECT_EQ(meta.stats().hist_rows, 1u);
 }
@@ -374,16 +380,14 @@ void expect_identical_non_meta(const db::Database& plain,
 
 class MetaParityFixture : public ::testing::Test {
  protected:
-  static core::TestbedConfig base_config(const fs::path& log_dir) {
+  static db::Database* run_streamed(bool observed) {
+    const test::TempDir dir(observed ? "obs_parity_observed"
+                                     : "obs_parity_plain");
     core::TestbedConfig cfg;
     cfg.workload = 400;
     cfg.duration = sec(6);
-    cfg.log_dir = log_dir;
-    return cfg;
-  }
-
-  static db::Database* run_streamed(const fs::path& log_dir, bool observed) {
-    core::Experiment exp(base_config(log_dir));
+    cfg.log_dir = dir.path();
+    core::Experiment exp(cfg);
     auto* db = new db::Database();
     core::OnlineCollection::Config ccfg;
     if (observed) ccfg.observability.emplace();
@@ -402,22 +406,13 @@ class MetaParityFixture : public ::testing::Test {
     // Same deterministic workload twice: once plain, once with mScopeMeta
     // dogfooding into the warehouse. Runs share the process-wide registry —
     // opt-out only controls whether it is *exported*, which is the contract.
-    db_plain_ = run_streamed(dir_plain(), false);
-    db_observed_ = run_streamed(dir_observed(), true);
+    db_plain_ = run_streamed(false);
+    db_observed_ = run_streamed(true);
   }
 
   static void TearDownTestSuite() {
     delete db_plain_;
     delete db_observed_;
-    fs::remove_all(dir_plain());
-    fs::remove_all(dir_observed());
-  }
-
-  static fs::path dir_plain() {
-    return fs::temp_directory_path() / "mscope_obs_parity_plain";
-  }
-  static fs::path dir_observed() {
-    return fs::temp_directory_path() / "mscope_obs_parity_observed";
   }
 
   static db::Database* db_plain_;
@@ -451,14 +446,13 @@ TEST_F(MetaParityFixture, MetaTablesFillWhenObserved) {
   EXPECT_GT(db_observed_->get("mscope_meta_metrics").row_count(), 50u);
   EXPECT_EQ(db_observed_->get("mscope_meta_spans").row_count(), spans_);
   // The per-channel health series use the testbed's node names.
-  const db::Table& metrics = db_observed_->get("mscope_meta_metrics");
-  EXPECT_GT(db::Query(metrics)
-                .where_eq_str("name", "collector.db1.shipper.batches")
-                .count(),
-            0u);
-  EXPECT_GT(db::Query(metrics)
-                .where_eq_str("name", "transform.rows_live")
-                .aggregate(db::Query::AggKind::kMax, "value"),
+  EXPECT_GT(sql_scalar(*db_observed_,
+                       "SELECT COUNT(*) FROM mscope_meta_metrics "
+                       "WHERE name = 'collector.db1.shipper.batches'"),
+            0.0);
+  EXPECT_GT(sql_scalar(*db_observed_,
+                       "SELECT MAX(value) FROM mscope_meta_metrics "
+                       "WHERE name = 'transform.rows_live'"),
             100.0);
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/milliscope.h"
+#include "temp_dir.h"
 
 namespace mscope::core {
 namespace {
@@ -94,11 +95,11 @@ TEST(OnlineVsbDetector, BaselineTracksMedianNotTail) {
 TEST(OnlineVsbDetector, CatchesScenarioALive) {
   // Wire the detector to the client pool and run scenario A: the alarm must
   // open during the flush episode — while the "experiment" is still running.
+  const test::TempDir dir("online");
   TestbedConfig cfg;
   cfg.workload = 1200;
   cfg.duration = sec(12);
-  cfg.log_dir =
-      std::filesystem::temp_directory_path() / "mscope_online_test";
+  cfg.log_dir = dir.path();
   cfg.resource_monitors = false;
   cfg.capture_messages = false;
   cfg.scenario_a = ScenarioA{};
@@ -109,7 +110,6 @@ TEST(OnlineVsbDetector, CatchesScenarioALive) {
   const_cast<workload::ClientPool&>(testbed.clients())
       .set_on_complete([&](const sim::RequestPtr& r) { det.on_complete(r); });
   testbed.run();
-  std::filesystem::remove_all(cfg.log_dir);
 
   ASSERT_FALSE(det.alarms().empty());
   const auto& alarm = det.alarms().front();
@@ -120,10 +120,11 @@ TEST(OnlineVsbDetector, CatchesScenarioALive) {
 }
 
 TEST(ScenarioC, GcPauseDiagnosedAsCpu) {
+  const test::TempDir dir("scenc");
   TestbedConfig cfg;
   cfg.workload = 1200;
   cfg.duration = sec(8);
-  cfg.log_dir = std::filesystem::temp_directory_path() / "mscope_scenc_test";
+  cfg.log_dir = dir.path();
   cfg.scenario_c = ScenarioC{};  // stop-the-world pause at Tomcat, t=5s
 
   Experiment exp(cfg);
@@ -131,7 +132,6 @@ TEST(ScenarioC, GcPauseDiagnosedAsCpu) {
   db::Database db;
   exp.load_warehouse(db);
   const auto diagnoses = exp.diagnoser(db).diagnose(cfg.duration);
-  std::filesystem::remove_all(cfg.log_dir);
 
   ASSERT_FALSE(diagnoses.empty());
   EXPECT_EQ(diagnoses.front().bottleneck_node, "app1");

@@ -10,6 +10,7 @@
 #include <map>
 
 #include "core/milliscope.h"
+#include "temp_dir.h"
 #include "transform/warehouse_io.h"
 #include "transform/xml.h"
 #include "transform/xml_to_csv.h"
@@ -192,10 +193,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TimeFormatRoundTrip, ::testing::Range(1, 4));
 // --- whole-testbed conservation & determinism ---------------------------------
 
 TEST(TestbedProperty, EventLogAccountingIsConserved) {
+  const test::TempDir dir("prop_a");
   core::TestbedConfig cfg;
   cfg.workload = 600;
   cfg.duration = sec(6);
-  cfg.log_dir = std::filesystem::temp_directory_path() / "mscope_prop_a";
+  cfg.log_dir = dir.path();
   core::Experiment exp(cfg);
   exp.run();
   db::Database db;
@@ -216,14 +218,14 @@ TEST(TestbedProperty, EventLogAccountingIsConserved) {
   EXPECT_GE(db.get("ev_apache_web1").row_count(), completed.size());
   EXPECT_LE(db.get("ev_apache_web1").row_count(),
             completed.size() + static_cast<std::size_t>(cfg.workload));
-  std::filesystem::remove_all(cfg.log_dir);
 }
 
 TEST(TestbedProperty, WarehouseQueueMatchesGroundTruth) {
+  const test::TempDir dir("prop_b");
   core::TestbedConfig cfg;
   cfg.workload = 600;
   cfg.duration = sec(6);
-  cfg.log_dir = std::filesystem::temp_directory_path() / "mscope_prop_b";
+  cfg.log_dir = dir.path();
   cfg.scenario_a = core::ScenarioA{.first_flush = sec(3)};
   core::Experiment exp(cfg);
   exp.run();
@@ -246,7 +248,6 @@ TEST(TestbedProperty, WarehouseQueueMatchesGroundTruth) {
     }
     EXPECT_GT(util::correlate_series(truth, from_db, msec(100)), 0.98);
   }
-  std::filesystem::remove_all(cfg.log_dir);
 }
 
 // --- clear() + re-import is byte-identical -----------------------------------
@@ -277,9 +278,8 @@ TEST_P(ClearReimportProperty, ReimportAfterClearIsByteIdentical) {
   }
   for (const auto& row : rows) t.insert(row);
 
-  const auto base = std::filesystem::temp_directory_path() /
-                    ("mscope_prop_clear_" + std::to_string(GetParam()));
-  std::filesystem::remove_all(base);
+  const test::TempDir tmp("prop_clear");
+  const std::filesystem::path& base = tmp.path();
   transform::WarehouseIO::save(db, base / "a");
   transform::WarehouseIO::save_snapshot(db, base / "a");
 
@@ -297,18 +297,18 @@ TEST_P(ClearReimportProperty, ReimportAfterClearIsByteIdentical) {
        {"ev_rand_web1.csv", "ev_rand_web1.schema", "ev_rand_web1.mseg"}) {
     EXPECT_EQ(slurp(base / "a" / f), slurp(base / "b" / f)) << f;
   }
-  std::filesystem::remove_all(base);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ClearReimportProperty, ::testing::Range(1, 4));
 
 TEST(TestbedProperty, RunsAreDeterministic) {
   auto run_digest = [] {
+    const test::TempDir dir("prop_c");
     core::TestbedConfig cfg;
     cfg.workload = 400;
     cfg.duration = sec(5);
     cfg.seed = 7;
-    cfg.log_dir = std::filesystem::temp_directory_path() / "mscope_prop_c";
+    cfg.log_dir = dir.path();
     core::Experiment exp(cfg);
     exp.run();
     std::uint64_t digest = 1469598103934665603ULL;
@@ -326,7 +326,6 @@ TEST(TestbedProperty, RunsAreDeterministic) {
         }
       }
     }
-    std::filesystem::remove_all(cfg.log_dir);
     return digest;
   };
   EXPECT_EQ(run_digest(), run_digest());

@@ -9,6 +9,7 @@
 
 #include "core/milliscope.h"
 #include "logging/formats.h"
+#include "temp_dir.h"
 #include "transform/pipeline.h"
 
 namespace mscope {
@@ -21,12 +22,9 @@ using util::sec;
 
 class RobustnessFixture : public ::testing::Test {
  protected:
-  RobustnessFixture()
-      : run_dir_(fs::temp_directory_path() / "mscope_robustness_test") {
-    fs::remove_all(run_dir_);
+  RobustnessFixture() : run_dir_(tmp_.path()) {
     fs::create_directories(run_dir_ / "web1");
   }
-  ~RobustnessFixture() override { fs::remove_all(run_dir_); }
 
   void write(const std::string& file, const std::string& content) {
     std::ofstream out(run_dir_ / "web1" / file);
@@ -45,6 +43,7 @@ class RobustnessFixture : public ::testing::Test {
     return fmt::apache_access(r);
   }
 
+  test::TempDir tmp_{"robustness"};
   fs::path run_dir_;
 };
 
@@ -133,7 +132,8 @@ class CrossMonitorFixture : public ::testing::Test {
     core::TestbedConfig cfg;
     cfg.workload = 1200;
     cfg.duration = sec(8);
-    cfg.log_dir = fs::temp_directory_path() / "mscope_crossmon_test";
+    dir_ = new test::TempDir("crossmon");
+    cfg.log_dir = dir_->path();
     cfg.scenario_a = core::ScenarioA{.first_flush = sec(4)};
     exp_ = new core::Experiment(cfg);
     exp_->run();
@@ -141,14 +141,16 @@ class CrossMonitorFixture : public ::testing::Test {
     exp_->load_warehouse(*db_);
   }
   static void TearDownTestSuite() {
-    fs::remove_all(exp_->config().log_dir);
     delete exp_;
     delete db_;
+    delete dir_;
   }
+  static test::TempDir* dir_;
   static core::Experiment* exp_;
   static db::Database* db_;
 };
 
+test::TempDir* CrossMonitorFixture::dir_ = nullptr;
 core::Experiment* CrossMonitorFixture::exp_ = nullptr;
 db::Database* CrossMonitorFixture::db_ = nullptr;
 

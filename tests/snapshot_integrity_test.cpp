@@ -9,11 +9,11 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <unistd.h>
 #include <vector>
 
 #include "db/database.h"
 #include "db/segment/snapshot.h"
+#include "temp_dir.h"
 #include "transform/warehouse_io.h"
 #include "util/io_file.h"
 #include "util/rng.h"
@@ -23,14 +23,6 @@ namespace {
 
 namespace fs = std::filesystem;
 using transform::WarehouseIO;
-
-fs::path fresh_dir(const std::string& tag) {
-  const fs::path p = fs::temp_directory_path() /
-                     ("mscope_snap_" + tag + "_" + std::to_string(::getpid()));
-  fs::remove_all(p);
-  fs::create_directories(p);
-  return p;
-}
 
 /// A table with all value kinds, enough rows to seal columnar segments and
 /// leave a row-major tail — so fuzzing hits every chunk codec.
@@ -149,7 +141,8 @@ TEST(SnapshotIntegrity, FuzzedWarehouseRecoverNeverThrows) {
   // Property: whatever single corruption hits a snapshot directory,
   // recover() returns a valid partial warehouse plus warnings — it must
   // never throw and never produce a half-loaded table.
-  const fs::path dir = fresh_dir("fuzz");
+  const test::TempDir tmp("snap_fuzz");
+  const fs::path& dir = tmp.path();
   db::Database db;
   db.adopt_table(make_table("ev_one", 3000));
   db.adopt_table(make_table("ev_two", 500));
@@ -201,11 +194,11 @@ TEST(SnapshotIntegrity, FuzzedWarehouseRecoverNeverThrows) {
     std::ofstream out(victim, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
-  fs::remove_all(dir);
 }
 
 TEST(SnapshotIntegrity, CorruptTableIsSkippedOthersLoad) {
-  const fs::path dir = fresh_dir("skip");
+  const test::TempDir tmp("snap_skip");
+  const fs::path& dir = tmp.path();
   db::Database db;
   db.adopt_table(make_table("ev_good", 800));
   db.adopt_table(make_table("ev_bad", 800));
@@ -232,11 +225,11 @@ TEST(SnapshotIntegrity, CorruptTableIsSkippedOthersLoad) {
   EXPECT_TRUE(partial.exists("ev_good"));
   EXPECT_FALSE(partial.exists("ev_bad"));
   expect_identical(partial.get("ev_good"), db.get("ev_good"));
-  fs::remove_all(dir);
 }
 
 TEST(SnapshotIntegrity, CrashedSaveNeverDestroysPreviousSnapshot) {
-  const fs::path dir = fresh_dir("atomic");
+  const test::TempDir tmp("snap_atomic");
+  const fs::path& dir = tmp.path();
   db::Database db;
   db.adopt_table(make_table("ev_keep", 1000));
   WarehouseIO::save_snapshot(db, dir);
@@ -263,7 +256,6 @@ TEST(SnapshotIntegrity, CrashedSaveNeverDestroysPreviousSnapshot) {
   EXPECT_FALSE(loaded.empty());
   EXPECT_EQ(restored.get("ev_keep").row_count(), 1000u)  // pre-crash rows
       << "the previous good snapshot must survive a crashed rewrite";
-  fs::remove_all(dir);
 }
 
 }  // namespace

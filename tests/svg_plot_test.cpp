@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "temp_dir.h"
 #include "transform/xml.h"
 
 namespace mscope::util {
@@ -30,14 +31,14 @@ TEST(SvgPlot, RendersWellFormedXml) {
 }
 
 TEST(SvgPlot, EmptySeriesStillRenders) {
-  SvgPlot plot({.title = "empty"});
+  SvgPlot plot({.title = "empty", .y_label = ""});
   plot.add_line({}, "nothing");
   const auto doc = transform::xml_parse(plot.render());
   EXPECT_EQ(doc->name, "svg");
 }
 
 TEST(SvgPlot, FixedYMaxClampsValues) {
-  SvgPlot plot({.title = "clamped", .y_max = 10});
+  SvgPlot plot({.title = "clamped", .y_label = "", .y_max = 10});
   Series s{{0, 5.0}, {msec(10), 100.0}};
   plot.add_line(s, "spiky");
   // No crash and valid output; the 100 is clamped into the viewport.
@@ -46,26 +47,26 @@ TEST(SvgPlot, FixedYMaxClampsValues) {
 }
 
 TEST(SvgPlot, RejectsTinyCanvas) {
-  EXPECT_THROW(SvgPlot({.width = 10, .height = 10}), std::invalid_argument);
+  EXPECT_THROW(
+      SvgPlot({.width = 10, .height = 10, .title = "", .y_label = ""}),
+      std::invalid_argument);
 }
 
 TEST(SvgPlot, SavesToDisk) {
-  const auto path = std::filesystem::temp_directory_path() /
-                    "mscope_svg_test" / "plot.svg";
-  std::filesystem::remove_all(path.parent_path());
-  SvgPlot plot({.title = "file"});
+  const test::TempDir tmp("svg");
+  const auto path = tmp.path() / "plot" / "plot.svg";
+  SvgPlot plot({.title = "file", .y_label = ""});
   plot.add_line(ramp(5), "x");
   plot.save(path);
   EXPECT_TRUE(std::filesystem::exists(path));
   EXPECT_GT(std::filesystem::file_size(path), 500u);
-  std::filesystem::remove_all(path.parent_path());
 }
 
 TEST(SvgPlot, StepSeriesHasMorePoints) {
   // A step line inserts one extra vertex per segment.
-  SvgPlot line_plot({.title = "l"});
+  SvgPlot line_plot({.title = "l", .y_label = ""});
   line_plot.add_line(ramp(10), "l");
-  SvgPlot step_plot({.title = "s"});
+  SvgPlot step_plot({.title = "s", .y_label = ""});
   step_plot.add_steps(ramp(10), "s");
   const auto count_points = [](const std::string& svg) {
     const auto pos = svg.find("points=\"");

@@ -3,7 +3,7 @@
 #include <filesystem>
 #include <fstream>
 
-#include "db/query.h"
+#include "temp_dir.h"
 #include "transform/importer.h"
 #include "transform/pipeline.h"
 #include "transform/xml.h"
@@ -109,13 +109,10 @@ TEST(DataImporter, CreatesTableAndRecordsCatalog) {
 
 class PipelineFixture : public ::testing::Test {
  protected:
-  PipelineFixture()
-      : run_dir_(fs::temp_directory_path() / "mscope_pipeline_test") {
-    fs::remove_all(run_dir_);
+  PipelineFixture() : run_dir_(tmp_.path()) {
     fs::create_directories(run_dir_ / "web1");
     fs::create_directories(run_dir_ / "db1");
   }
-  ~PipelineFixture() override { fs::remove_all(run_dir_); }
 
   void write(const std::string& node, const std::string& file,
              const std::string& content) {
@@ -123,6 +120,7 @@ class PipelineFixture : public ::testing::Test {
     out << content;
   }
 
+  test::TempDir tmp_{"pipeline"};
   fs::path run_dir_;
 };
 
@@ -167,8 +165,12 @@ TEST_F(PipelineFixture, ImportFromFilesPathMatchesInMemory) {
         "10.0.0.2 - - [01/Jan/2017:00:00:01.000 +0000] "
         "\"GET /rubbos/Search HTTP/1.1\" 200 5000 2500\n");
   db::Database mem_db, file_db;
-  DataTransformer mem_t({/*write_intermediates=*/false, false});
-  DataTransformer file_t({/*write_intermediates=*/true, true});
+  DataTransformer mem_t({.write_intermediates = false,
+                         .import_from_files = false,
+                         .transform = {}});
+  DataTransformer file_t({.write_intermediates = true,
+                          .import_from_files = true,
+                          .transform = {}});
   mem_t.run(run_dir_, mem_db);
   file_t.run(run_dir_, file_db);
   const auto& a = mem_db.get("ev_apache_web1");

@@ -12,13 +12,13 @@
 #include <fstream>
 #include <map>
 #include <string>
-#include <unistd.h>
 #include <vector>
 
 #include "core/milliscope.h"
 #include "core/online_collection.h"
 #include "db/database.h"
 #include "db/wal/wal.h"
+#include "temp_dir.h"
 #include "transform/warehouse_io.h"
 #include "util/io_file.h"
 
@@ -31,14 +31,6 @@ using transform::WarehouseIO;
 using util::io::CrashError;
 using util::io::FaultInjector;
 using util::io::File;
-
-fs::path fresh_dir(const std::string& tag) {
-  const fs::path p = fs::temp_directory_path() /
-                     ("mscope_wal_" + tag + "_" + std::to_string(::getpid()));
-  fs::remove_all(p);
-  fs::create_directories(p);
-  return p;
-}
 
 // A warehouse rendered to strings: schema line + every cell per table.
 // Comparing these proves cell-identity without caring about storage layout.
@@ -78,7 +70,8 @@ db::Schema wide_schema() {
 // --- WAL unit tests ---------------------------------------------------------
 
 TEST(Wal, RoundTripReplaysEveryMutationKind) {
-  const fs::path dir = fresh_dir("roundtrip");
+  const test::TempDir dir_tmp("wal_roundtrip");
+  const fs::path& dir = dir_tmp.path();
   db::Database db;
   {
     db::wal::WalWriter wal(WarehouseIO::wal_path(dir));
@@ -107,11 +100,11 @@ TEST(Wal, RoundTripReplaysEveryMutationKind) {
   EXPECT_TRUE(rs.warnings.empty());
   EXPECT_FALSE(recovered.exists("doomed"));
   EXPECT_EQ(db_state(recovered), db_state(db));
-  fs::remove_all(dir);
 }
 
 TEST(Wal, UncommittedFramesAreNeverReplayed) {
-  const fs::path dir = fresh_dir("uncommitted");
+  const test::TempDir dir_tmp("wal_uncommitted");
+  const fs::path& dir = dir_tmp.path();
   db::Database db;
   {
     db::wal::WalWriter wal(WarehouseIO::wal_path(dir));
@@ -126,11 +119,11 @@ TEST(Wal, UncommittedFramesAreNeverReplayed) {
   EXPECT_EQ(rs.frames_discarded, 2u);
   EXPECT_EQ(rs.last_commit_id, 0u);
   EXPECT_FALSE(recovered.exists("ev_t"));
-  fs::remove_all(dir);
 }
 
 TEST(Wal, TornTailIsTruncatedNotFatal) {
-  const fs::path dir = fresh_dir("torn");
+  const test::TempDir dir_tmp("wal_torn");
+  const fs::path& dir = dir_tmp.path();
   db::Database db;
   {
     db::wal::WalWriter wal(WarehouseIO::wal_path(dir));
@@ -154,11 +147,11 @@ TEST(Wal, TornTailIsTruncatedNotFatal) {
   EXPECT_NE(rs.warnings.front().find("torn tail"), std::string::npos);
   ASSERT_TRUE(recovered.exists("ev_t"));
   EXPECT_EQ(recovered.get("ev_t").row_count(), 1u);
-  fs::remove_all(dir);
 }
 
 TEST(Wal, BitFlipBoundsReplayAtLastValidCommit) {
-  const fs::path dir = fresh_dir("bitflip");
+  const test::TempDir dir_tmp("wal_bitflip");
+  const fs::path& dir = dir_tmp.path();
   db::Database db;
   std::uint64_t first_commit_frames = 0;
   {
@@ -187,24 +180,24 @@ TEST(Wal, BitFlipBoundsReplayAtLastValidCommit) {
   EXPECT_EQ(rs.last_commit_id, 1u);
   EXPECT_GT(rs.torn_bytes, 0u);
   EXPECT_EQ(recovered.get("ev_t").row_count(), 1u);
-  fs::remove_all(dir);
 }
 
 TEST(Wal, BaseCommitIdSurvivesEmptyLog) {
-  const fs::path dir = fresh_dir("baseid");
+  const test::TempDir dir_tmp("wal_baseid");
+  const fs::path& dir = dir_tmp.path();
   { db::wal::WalWriter wal(WarehouseIO::wal_path(dir), 7); }
   db::Database recovered;
   const auto rs = db::wal::replay(WarehouseIO::wal_path(dir), recovered);
   EXPECT_EQ(rs.last_commit_id, 7u);
   EXPECT_EQ(rs.commits_seen, 0u);
-  fs::remove_all(dir);
 }
 
 TEST(Wal, ReplayOverNewerSnapshotIsIdempotent) {
   // The checkpoint crash window: snapshot renames landed, WAL reset did not.
   // The old epoch's log replays over the new snapshot without duplicating
   // a row.
-  const fs::path dir = fresh_dir("idempotent");
+  const test::TempDir dir_tmp("wal_idempotent");
+  const fs::path& dir = dir_tmp.path();
   db::Database db;
   {
     db::wal::WalWriter wal(WarehouseIO::wal_path(dir));
@@ -223,11 +216,11 @@ TEST(Wal, ReplayOverNewerSnapshotIsIdempotent) {
   EXPECT_EQ(rs.wal_inserts_applied, 0u);
   EXPECT_EQ(rs.last_commit_id, 1u);
   EXPECT_EQ(db_state(recovered), db_state(db));
-  fs::remove_all(dir);
 }
 
 TEST(Wal, RecoverTruncatesLogSoAppendsCanResume) {
-  const fs::path dir = fresh_dir("resume");
+  const test::TempDir dir_tmp("wal_resume");
+  const fs::path& dir = dir_tmp.path();
   db::Database db;
   {
     db::wal::WalWriter wal(WarehouseIO::wal_path(dir));
@@ -259,7 +252,6 @@ TEST(Wal, RecoverTruncatesLogSoAppendsCanResume) {
   ASSERT_TRUE(again.exists("ev_t"));
   ASSERT_EQ(again.get("ev_t").row_count(), 2u);
   EXPECT_EQ(db::value_to_string(again.get("ev_t").at(1, 1)), "11");
-  fs::remove_all(dir);
 }
 
 // --- crash-point matrix -----------------------------------------------------
@@ -339,12 +331,12 @@ std::map<std::uint64_t, DbState> run_driver(const fs::path& dir) {
 
 TEST(CrashMatrix, EveryKillPointRecoversExactly) {
   // Reference pass: no faults; learn the op count and the per-commit states.
-  const fs::path ref_dir = fresh_dir("matrix_ref");
+  const test::TempDir ref_dir_tmp("wal_matrix_ref");
+  const fs::path& ref_dir = ref_dir_tmp.path();
   CountingInjector counter;
   File::set_fault_injector(&counter);
   const std::map<std::uint64_t, DbState> states = run_driver(ref_dir);
   File::set_fault_injector(nullptr);
-  fs::remove_all(ref_dir);
   ASSERT_GT(counter.count, 30u) << "driver should exercise many ops";
   ASSERT_GT(states.size(), 5u);
 
@@ -354,7 +346,8 @@ TEST(CrashMatrix, EveryKillPointRecoversExactly) {
     for (std::size_t op = 0; op < counter.count; ++op) {
       SCOPED_TRACE((torn ? "torn write, op " : "clean kill, op ") +
                    std::to_string(op));
-      const fs::path dir = fresh_dir("matrix_run");
+      const test::TempDir dir_tmp("wal_matrix_run");
+      const fs::path& dir = dir_tmp.path();
       CrashAtInjector inj(op, torn);
       File::set_fault_injector(&inj);
       bool crashed = false;
@@ -374,13 +367,13 @@ TEST(CrashMatrix, EveryKillPointRecoversExactly) {
       EXPECT_EQ(db_state(recovered), it->second)
           << "warehouse differs from the uncrashed run at commit "
           << rs.last_commit_id;
-      fs::remove_all(dir);
     }
   }
 }
 
 TEST(CrashMatrix, UncrashedDirectoryRecoversToFinalCommit) {
-  const fs::path dir = fresh_dir("matrix_clean");
+  const test::TempDir dir_tmp("wal_matrix_clean");
+  const fs::path& dir = dir_tmp.path();
   const auto states = run_driver(dir);
   db::Database recovered;
   const RecoveryStats rs = WarehouseIO::recover(recovered, dir);
@@ -388,7 +381,6 @@ TEST(CrashMatrix, UncrashedDirectoryRecoversToFinalCommit) {
   EXPECT_EQ(db_state(recovered), states.rbegin()->second);
   EXPECT_TRUE(rs.warnings.empty());
   EXPECT_EQ(rs.tables_skipped, 0u);
-  fs::remove_all(dir);
 }
 
 // --- OnlineCollection durability wiring -------------------------------------
@@ -397,11 +389,12 @@ TEST(DurableCollection, FinishedRunRecoversIdentically) {
   core::TestbedConfig cfg;
   cfg.workload = 400;
   cfg.duration = util::sec(4);
-  cfg.log_dir = fs::temp_directory_path() /
-                ("mscope_durable_logs_" + std::to_string(::getpid()));
+  const test::TempDir log_tmp("wal_durable_logs");
+  cfg.log_dir = log_tmp.path();
   cfg.capture_messages = false;
 
-  const fs::path dur_dir = fresh_dir("collection");
+  const test::TempDir dur_dir_tmp("wal_collection");
+  const fs::path& dur_dir = dur_dir_tmp.path();
   core::Testbed testbed(cfg);
   db::Database live;
   core::OnlineCollection::Config oc;
@@ -412,25 +405,24 @@ TEST(DurableCollection, FinishedRunRecoversIdentically) {
   testbed.run();
   online.finish();
   EXPECT_GT(online.wal()->stats().commits, 2u) << "group commits should tick";
-  fs::remove_all(cfg.log_dir);
 
   // finish() checkpoints, so the directory recovers to the complete run.
   db::Database recovered;
   const RecoveryStats rs = WarehouseIO::recover(recovered, dur_dir);
   EXPECT_TRUE(rs.warnings.empty());
   EXPECT_EQ(db_state(recovered), db_state(live));
-  fs::remove_all(dur_dir);
 }
 
 TEST(DurableCollection, MidRunCrashRecoversToACommit) {
   core::TestbedConfig cfg;
   cfg.workload = 400;
   cfg.duration = util::sec(4);
-  cfg.log_dir = fs::temp_directory_path() /
-                ("mscope_durable_crash_logs_" + std::to_string(::getpid()));
+  const test::TempDir log_tmp("wal_durable_crash_logs");
+  cfg.log_dir = log_tmp.path();
   cfg.capture_messages = false;
 
-  const fs::path dur_dir = fresh_dir("collection_crash");
+  const test::TempDir dur_dir_tmp("wal_collection_crash");
+  const fs::path& dur_dir = dur_dir_tmp.path();
   core::Testbed testbed(cfg);
   db::Database live;
   core::OnlineCollection::Config oc;
@@ -452,7 +444,6 @@ TEST(DurableCollection, MidRunCrashRecoversToACommit) {
     crashed = true;
   }
   File::set_fault_injector(nullptr);
-  fs::remove_all(cfg.log_dir);
   ASSERT_TRUE(crashed) << "the injector should have fired mid-run";
 
   db::Database recovered;
@@ -466,7 +457,6 @@ TEST(DurableCollection, MidRunCrashRecoversToACommit) {
   const RecoveryStats rs2 = WarehouseIO::recover(again, dur_dir);
   EXPECT_EQ(rs2.last_commit_id, rs.last_commit_id);
   EXPECT_EQ(db_state(again), db_state(recovered));
-  fs::remove_all(dur_dir);
 }
 
 }  // namespace

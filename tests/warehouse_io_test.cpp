@@ -5,6 +5,8 @@
 #include <filesystem>
 #include <fstream>
 
+#include "temp_dir.h"
+
 namespace mscope::transform {
 namespace {
 
@@ -12,14 +14,11 @@ namespace fs = std::filesystem;
 
 class WarehouseIoFixture : public ::testing::Test {
  protected:
-  WarehouseIoFixture()
-      : dir_(fs::temp_directory_path() / "mscope_warehouse_io_test") {
-    fs::remove_all(dir_);
-  }
-  ~WarehouseIoFixture() override { fs::remove_all(dir_); }
+  WarehouseIoFixture() : dir_(tmp_.path() / "warehouse") {}
 
   static db::Database make_db() { return {}; }
 
+  test::TempDir tmp_{"warehouse_io"};
   fs::path dir_;
 };
 
