@@ -26,30 +26,43 @@ ScanOp::ScanOp(const Table& table, std::vector<std::size_t> cols,
     : table_(&table), cols_(std::move(cols)), pushed_(std::move(pushed)) {
   row_hi_ = table.row_count() == 0 ? 0 : table.row_count() - 1;
   // TimeIndex pushdown: the first pushed kernel that can bound its matches
-  // *and* finds a warm index narrows the global row range before any chunk
-  // is decoded. Only warm indexes are used — a cold build would cost more
-  // than the scan it saves.
+  // *and* finds a warm index picks the column; the bounds of every pushed
+  // kernel on that column are intersected (`ts >= a AND ts < b` probes
+  // [a, b), not [a, +inf)), and the one probe narrows the global row range
+  // before any chunk is decoded. Only warm indexes are used — a cold build
+  // would cost more than the scan it saves.
+  int probe_col = -1;
+  const TimeIndex* idx = nullptr;
+  std::int64_t lo = std::numeric_limits<std::int64_t>::min();
+  std::int64_t hi = std::numeric_limits<std::int64_t>::max();
   for (const auto& k : pushed_) {
-    std::int64_t lo = 0, hi = 0;
+    std::int64_t klo = 0, khi = 0;
     const int col = k->index_col();
-    if (col < 0 || !k->index_range(lo, hi)) continue;
-    const TimeIndex* idx = table.find_time_index(static_cast<std::size_t>(col));
-    if (idx == nullptr) continue;
-    const auto slice = idx->range(lo, hi);
+    if (col < 0 || !k->index_range(klo, khi)) continue;
+    if (idx == nullptr) {
+      idx = table.find_time_index(static_cast<std::size_t>(col));
+      if (idx == nullptr) continue;
+      probe_col = col;
+    }
+    if (col != probe_col) continue;
+    lo = std::max(lo, klo);
+    hi = std::min(hi, khi);
+  }
+  if (idx != nullptr) {
     index_used_ = true;
+    const auto slice = idx->range(lo, hi);
     if (slice.empty()) {
       index_empty_ = true;
-      break;
+    } else {
+      std::uint32_t rlo = std::numeric_limits<std::uint32_t>::max();
+      std::uint32_t rhi = 0;
+      for (const auto& e : slice) {
+        rlo = std::min(rlo, e.row);
+        rhi = std::max(rhi, e.row);
+      }
+      row_lo_ = std::max(row_lo_, static_cast<std::size_t>(rlo));
+      row_hi_ = std::min(row_hi_, static_cast<std::size_t>(rhi));
     }
-    std::uint32_t rlo = std::numeric_limits<std::uint32_t>::max();
-    std::uint32_t rhi = 0;
-    for (const auto& e : slice) {
-      rlo = std::min(rlo, e.row);
-      rhi = std::max(rhi, e.row);
-    }
-    row_lo_ = std::max(row_lo_, static_cast<std::size_t>(rlo));
-    row_hi_ = std::min(row_hi_, static_cast<std::size_t>(rhi));
-    break;
   }
   if (table.row_count() == 0 || index_empty_ || row_lo_ > row_hi_) {
     done_ = true;
@@ -158,7 +171,10 @@ bool ScanOp::next(Batch& out) {
       return true;
     }
   }
-  while (tail_i_ < table_->storage().tail().size()) {
+  // The tail stops at the row range too: past row_hi_ no row can match.
+  const std::size_t sealed = table_->storage().sealed_row_count();
+  while (tail_i_ < table_->storage().tail().size() &&
+         sealed + tail_i_ <= row_hi_) {
     const std::size_t before = tail_i_;
     if (load_tail(out)) {
       rows_scanned.add(tail_i_ - before);

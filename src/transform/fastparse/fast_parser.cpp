@@ -13,7 +13,9 @@ namespace mscope::transform::fastparse {
 
 namespace {
 
-constexpr ConversionBuilder::ColId kNoCol = 0xFFFFFFFFu;
+using SlotIds = ParseCursor::SlotIds;
+using HeaderCol = ParseCursor::HeaderCol;
+constexpr ConversionBuilder::ColId kNoCol = SlotIds::kNone;
 
 /// Strict fixed-layout decode first; anything it can't express defers to
 /// the reference convert_time so the two paths agree byte-for-byte.
@@ -42,14 +44,14 @@ bool convert_time_fast(std::string_view raw, TimeEncoding enc,
 
 bool trim_empty(std::string_view s) { return util::trim(s).empty(); }
 
-/// Iterates '\n'-separated lines without materializing them. A trailing
-/// newline yields no final empty line — the same candidate set as the
-/// reference's split + pop-trailing-blanks.
+/// Iterates '\n'-separated lines without materializing them, numbering
+/// them from `index` (the cursor's absolute line index) and advancing it. A
+/// trailing newline yields no final empty line — the same candidate set as
+/// the reference's split + pop-trailing-blanks.
 template <typename Fn>
-void for_each_line(std::string_view content, Fn&& fn) {
+void for_each_line(std::string_view content, std::size_t& index, Fn&& fn) {
   const char* p = content.data();
   const char* end = p + content.size();
-  std::size_t index = 0;
   while (p < end) {
     const char* nl =
         static_cast<const char*>(std::memchr(p, '\n', end - p));
@@ -60,15 +62,6 @@ void for_each_line(std::string_view content, Fn&& fn) {
     p = nl + 1;
   }
 }
-
-/// Lazily-resolved column ids for one instruction field slot: one id for
-/// the time-normalized name, one for the raw name. Resolving at first
-/// emission (not at compile) preserves the reference's first-appearance
-/// column order.
-struct SlotIds {
-  ConversionBuilder::ColId time_id = kNoCol;
-  ConversionBuilder::ColId raw_id = kNoCol;
-};
 
 void split_ws_into(std::string_view s, std::vector<std::string_view>& out) {
   out.clear();
@@ -147,45 +140,80 @@ std::shared_ptr<const FastParser> FastParser::compile(const Declaration& decl) {
   return fp;
 }
 
-Conversion FastParser::parse(std::string_view content, const ParseContext& ctx,
-                             ParseStats& stats) const {
-  ConversionBuilder b;
+ParseCursor FastParser::cursor() const {
+  static constexpr const char* kIostatCols[] = {
+      "ts_usec", "device", "tps", "read_kbs", "write_kbs", "queue",
+      "util_pct"};
+  static constexpr const char* kPlainCols[] = {"ts",        "user_pct",
+                                               "sys_pct",   "wait_pct",
+                                               "read_kbs",  "write_kbs",
+                                               "util_pct"};
+  ParseCursor cur;
+  cur.slots_.resize(instrs_.size());
+  for (std::size_t i = 0; i < instrs_.size(); ++i) {
+    cur.slots_[i].resize(instrs_[i].emit_count);
+  }
+  const auto fixed_header = [&cur](const auto& names) {
+    for (const char* name : names) {
+      HeaderCol col;
+      col.name = name;
+      cur.header_.push_back(std::move(col));
+    }
+    cur.header_[0].is_time = true;
+  };
+  if (kind_ == Kind::kIostat) fixed_header(kIostatCols);
+  if (kind_ == Kind::kCollectlPlain) fixed_header(kPlainCols);
+  return cur;
+}
+
+void FastParser::feed(ParseCursor& cur, std::string_view bytes) const {
   switch (kind_) {
     case Kind::kTokenLines:
-      parse_token_lines(content, b, stats);
+      feed_token_lines(cur, bytes);
       break;
     case Kind::kTomcat:
-      parse_tomcat(content, b, stats);
+      feed_tomcat(cur, bytes);
       break;
     case Kind::kSarText:
-      parse_sar_text(content, b, stats);
+      feed_sar_text(cur, bytes);
       break;
     case Kind::kIostat:
-      parse_iostat(content, b, stats);
+      feed_iostat(cur, bytes);
       break;
     case Kind::kCollectlCsv:
-      parse_collectl(content, b, stats, /*csv=*/true);
+      feed_collectl(cur, bytes, /*csv=*/true);
       break;
     case Kind::kCollectlPlain:
-      parse_collectl(content, b, stats, /*csv=*/false);
+      feed_collectl(cur, bytes, /*csv=*/false);
       break;
   }
-  return b.take(source_, ctx.node, ctx.file);
+}
+
+Conversion FastParser::take(ParseCursor& cur, const ParseContext& ctx) const {
+  cur.rows_taken_ += cur.builder_.entries();
+  return cur.builder_.take(source_, ctx.node, ctx.file);
+}
+
+Conversion FastParser::parse(std::string_view content, const ParseContext& ctx,
+                             ParseStats& stats) const {
+  ParseCursor cur = cursor();
+  feed(cur, content);
+  stats.lines += cur.stats_.lines;
+  stats.rejected += cur.stats_.rejected;
+  return take(cur, ctx);
 }
 
 // --------------------------- token_lines ------------------------------------
 
-void FastParser::parse_token_lines(std::string_view content,
-                                   ConversionBuilder& b,
-                                   ParseStats& stats) const {
-  std::vector<std::vector<SlotIds>> slots(instrs_.size());
-  for (std::size_t i = 0; i < instrs_.size(); ++i) {
-    slots[i].resize(instrs_[i].emit_count);
-  }
+void FastParser::feed_token_lines(ParseCursor& cur,
+                                  std::string_view bytes) const {
+  ConversionBuilder& b = cur.builder_;
+  ParseStats& stats = cur.stats_;
   CompiledPattern::Groups groups;
   std::cmatch m;
 
-  for_each_line(content, [&](std::size_t index, std::string_view line) {
+  for_each_line(bytes, cur.line_, [&](std::size_t index,
+                                      std::string_view line) {
     if (static_cast<int>(index) < skip_lines_) return;
     if (trim_empty(line)) return;
     if (!comment_prefix_.empty() && util::starts_with(line, comment_prefix_)) {
@@ -216,7 +244,7 @@ void FastParser::parse_token_lines(std::string_view content,
           }
         }
         const FieldSpec& f = instr.fields[g];
-        SlotIds& ids = slots[ti][g];
+        SlotIds& ids = cur.slots_[ti][g];
         if (f.enc != TimeEncoding::kNone) {
           std::int64_t usec = 0;
           if (convert_time_fast(v, f.enc, usec)) {
@@ -290,19 +318,11 @@ bool find_tomcat_call(const char* p, const char* end, TomcatCall& out) {
 
 }  // namespace
 
-void FastParser::parse_tomcat(std::string_view content, ConversionBuilder& b,
-                              ParseStats& stats) const {
+void FastParser::feed_tomcat(ParseCursor& cur, std::string_view bytes) const {
+  ConversionBuilder& b = cur.builder_;
+  ParseStats& stats = cur.stats_;
   const InstrSpec& head = instrs_[0];
   const InstrSpec* baseline = instrs_.size() > 1 ? &instrs_[1] : nullptr;
-  std::vector<std::vector<SlotIds>> slots(instrs_.size());
-  for (std::size_t i = 0; i < instrs_.size(); ++i) {
-    slots[i].resize(instrs_[i].emit_count);
-  }
-  // dsN/drN column ids are keyed by the call index digits (dynamic names).
-  std::map<std::string, std::pair<ConversionBuilder::ColId,
-                                  ConversionBuilder::ColId>,
-           std::less<>>
-      call_ids;
   CompiledPattern::Groups groups;
   std::cmatch m;
 
@@ -335,7 +355,8 @@ void FastParser::parse_tomcat(std::string_view content, ConversionBuilder& b,
     }
   };
 
-  for_each_line(content, [&](std::size_t index, std::string_view line) {
+  for_each_line(bytes, cur.line_, [&](std::size_t index,
+                                      std::string_view line) {
     if (static_cast<int>(index) < skip_lines_) return;
     if (trim_empty(line)) return;
     if (!comment_prefix_.empty() && util::starts_with(line, comment_prefix_)) {
@@ -354,7 +375,7 @@ void FastParser::parse_tomcat(std::string_view content, ConversionBuilder& b,
     }
     if (head_ok) {
       b.begin_entry(static_cast<std::uint32_t>(index + 1));
-      emit_fields(head, slots[0], head.fast != nullptr);
+      emit_fields(head, cur.slots_[0], head.fast != nullptr);
       TomcatCall call;
       const char* p = tail;
       while (find_tomcat_call(p, le, call)) {
@@ -362,15 +383,16 @@ void FastParser::parse_tomcat(std::string_view content, ConversionBuilder& b,
         std::int64_t ds = 0, dr = 0;
         if (convert_time_fast(call.ds, TimeEncoding::kEpochUsec, ds) &&
             convert_time_fast(call.dr, TimeEncoding::kEpochUsec, dr)) {
-          auto it = call_ids.find(call.idx);
-          if (it == call_ids.end()) {
+          auto it = cur.call_ids_.find(call.idx);
+          if (it == cur.call_ids_.end()) {
             const std::string idx(call.idx);
             // Sequenced separately: ds must register before dr to preserve
             // first-appearance column order (function-argument evaluation
             // order is unspecified).
             const auto ds_id = b.column("ds" + idx + "_usec");
             const auto dr_id = b.column("dr" + idx + "_usec");
-            it = call_ids.emplace(idx, std::make_pair(ds_id, dr_id)).first;
+            it = cur.call_ids_.emplace(idx, std::make_pair(ds_id, dr_id))
+                     .first;
           }
           b.set_known_int(it->second.first, std::to_string(ds));
           b.set_known_int(it->second.second, std::to_string(dr));
@@ -387,7 +409,7 @@ void FastParser::parse_tomcat(std::string_view content, ConversionBuilder& b,
       }
       if (base_ok) {
         b.begin_entry(static_cast<std::uint32_t>(index + 1));
-        emit_fields(*baseline, slots[1], baseline->fast != nullptr);
+        emit_fields(*baseline, cur.slots_[1], baseline->fast != nullptr);
         return;
       }
     }
@@ -397,88 +419,74 @@ void FastParser::parse_tomcat(std::string_view content, ConversionBuilder& b,
 
 // ------------------------------ sar_text ------------------------------------
 
-void FastParser::parse_sar_text(std::string_view content, ConversionBuilder& b,
-                                ParseStats& stats) const {
-  // Pass 1: classify every line (mirrors the reference two-pass structure).
-  enum class LineClass : std::uint8_t { kSkip, kHeader, kData };
-  struct Classified {
-    LineClass cls = LineClass::kSkip;
-    std::uint32_t line_no = 0;
-    std::vector<std::string_view> tokens;
-  };
-  std::vector<Classified> classified;
-  for_each_line(content, [&](std::size_t index, std::string_view line) {
+void FastParser::feed_sar_text(ParseCursor& cur, std::string_view bytes) const {
+  // The reference classifies every line first, then emits data rows under
+  // the most recent header. Header tracking is all that pass 2 carries from
+  // line to line, so one pass with the header in the cursor is the same
+  // parse. Column ids resolve lazily at first emission to preserve
+  // first-appearance order.
+  ConversionBuilder& b = cur.builder_;
+  ParseStats& stats = cur.stats_;
+  std::vector<HeaderCol>& header = cur.header_;
+  std::vector<std::string_view> toks;
+
+  for_each_line(bytes, cur.line_, [&](std::size_t index,
+                                      std::string_view line) {
     const auto trimmed = util::trim(line);
     if (trimmed.empty() || util::starts_with(trimmed, "Linux")) return;
-    Classified c;
-    c.line_no = static_cast<std::uint32_t>(index + 1);
-    split_ws_into(trimmed, c.tokens);
+    split_ws_into(trimmed, toks);
     bool has_pct = false;
-    for (const auto t : c.tokens) {
+    for (const auto t : toks) {
       if (!t.empty() && t.front() == '%') has_pct = true;
     }
-    c.cls = has_pct ? LineClass::kHeader : LineClass::kData;
-    classified.push_back(std::move(c));
-  });
-
-  // Pass 2: emit data rows under the most recent header. Column ids resolve
-  // lazily at first emission to preserve first-appearance order.
-  struct HeaderCol {
-    std::string name;
-    bool is_ts = false;
-    SlotIds ids;
-  };
-  std::vector<HeaderCol> header;
-  for (auto& c : classified) {
-    if (c.cls == LineClass::kHeader) {
+    if (has_pct) {
       header.clear();
-      for (const auto t : c.tokens) {
+      for (const auto t : toks) {
         HeaderCol col;
         col.name = sanitize_column(t);
         header.push_back(std::move(col));
       }
-      if (!header.empty()) header[0].name = "ts";  // first column is the time
-      for (auto& col : header) col.is_ts = col.name == "ts";
-      continue;
+      header[0].name = "ts";  // first column is the time
+      for (auto& col : header) col.is_time = col.name == "ts";
+      return;
     }
     ++stats.lines;
     if (header.empty()) {
       ++stats.rejected;  // data row before any header
-      continue;
+      return;
     }
-    if (c.tokens.size() != header.size()) {
+    if (toks.size() != header.size()) {
       ++stats.rejected;  // malformed row
-      continue;
+      return;
     }
-    b.begin_entry(c.line_no);
+    b.begin_entry(static_cast<std::uint32_t>(index + 1));
     for (std::size_t f = 0; f < header.size(); ++f) {
       HeaderCol& col = header[f];
-      if (col.is_ts) {
+      if (col.is_time) {
         std::int64_t usec = 0;
-        if (convert_time_fast(c.tokens[f], TimeEncoding::kHmsMilli, usec)) {
+        if (convert_time_fast(toks[f], TimeEncoding::kHmsMilli, usec)) {
           if (col.ids.time_id == kNoCol) col.ids.time_id = b.column("ts_usec");
           b.set_known_int(col.ids.time_id, std::to_string(usec));
           continue;
         }
       }
       if (col.ids.raw_id == kNoCol) col.ids.raw_id = b.column(col.name);
-      b.set(col.ids.raw_id, std::string(c.tokens[f]));
+      b.set(col.ids.raw_id, std::string(toks[f]));
     }
-  }
+  });
 }
 
 // ------------------------------- iostat -------------------------------------
 
-void FastParser::parse_iostat(std::string_view content, ConversionBuilder& b,
-                              ParseStats& stats) const {
-  static constexpr const char* kFields[] = {"device",    "tps",   "read_kbs",
-                                            "write_kbs", "queue", "util_pct"};
-  SlotIds ts_ids;
-  SlotIds field_ids[6];
-  std::int64_t current_ts = -1;
+void FastParser::feed_iostat(ParseCursor& cur, std::string_view bytes) const {
+  ConversionBuilder& b = cur.builder_;
+  ParseStats& stats = cur.stats_;
+  // header_ is fixed: ts_usec, then the six device-row columns.
+  std::vector<HeaderCol>& cols = cur.header_;
   std::vector<std::string_view> toks;
 
-  for_each_line(content, [&](std::size_t index, std::string_view line) {
+  for_each_line(bytes, cur.line_, [&](std::size_t index,
+                                      std::string_view line) {
     if (static_cast<int>(index) < skip_lines_) return;
     if (trim_empty(line)) return;
     if (!comment_prefix_.empty() && util::starts_with(line, comment_prefix_)) {
@@ -490,51 +498,38 @@ void FastParser::parse_iostat(std::string_view content, ConversionBuilder& b,
     ++stats.lines;
     std::int64_t usec = 0;
     if (convert_time_fast(trimmed, TimeEncoding::kHmsMilli, usec)) {
-      current_ts = usec;
+      cur.current_ts_ = usec;
       return;
     }
     split_ws_into(trimmed, toks);
-    if (toks.size() != 6 || current_ts < 0) {
+    if (toks.size() != 6 || cur.current_ts_ < 0) {
       ++stats.rejected;
       return;
     }
     b.begin_entry(static_cast<std::uint32_t>(index + 1));
-    if (ts_ids.time_id == kNoCol) ts_ids.time_id = b.column("ts_usec");
-    b.set_known_int(ts_ids.time_id, std::to_string(current_ts));
+    SlotIds& ts_ids = cols[0].ids;
+    if (ts_ids.time_id == kNoCol) ts_ids.time_id = b.column(cols[0].name);
+    b.set_known_int(ts_ids.time_id, std::to_string(cur.current_ts_));
     for (std::size_t f = 0; f < 6; ++f) {
-      if (field_ids[f].raw_id == kNoCol) {
-        field_ids[f].raw_id = b.column(kFields[f]);
-      }
-      b.set(field_ids[f].raw_id, std::string(toks[f]));
+      SlotIds& ids = cols[f + 1].ids;
+      if (ids.raw_id == kNoCol) ids.raw_id = b.column(cols[f + 1].name);
+      b.set(ids.raw_id, std::string(toks[f]));
     }
   });
 }
 
 // ------------------------------ collectl ------------------------------------
 
-void FastParser::parse_collectl(std::string_view content, ConversionBuilder& b,
-                                ParseStats& stats, bool csv) const {
-  static constexpr const char* kPlainCols[] = {"ts",        "user_pct",
-                                               "sys_pct",   "wait_pct",
-                                               "read_kbs",  "write_kbs",
-                                               "util_pct"};
-  struct HeaderCol {
-    std::string name;
-    bool is_time = false;
-    SlotIds ids;
-  };
-  std::vector<HeaderCol> header;
-  if (!csv) {
-    for (std::size_t f = 0; f < std::size(kPlainCols); ++f) {
-      HeaderCol col;
-      col.name = kPlainCols[f];
-      col.is_time = f == 0;
-      header.push_back(std::move(col));
-    }
-  }
+void FastParser::feed_collectl(ParseCursor& cur, std::string_view bytes,
+                               bool csv) const {
+  ConversionBuilder& b = cur.builder_;
+  ParseStats& stats = cur.stats_;
+  // csv: the last '#' header line; plain: the fixed brief-mode columns.
+  std::vector<HeaderCol>& header = cur.header_;
   std::vector<std::string_view> toks;
 
-  for_each_line(content, [&](std::size_t index, std::string_view line) {
+  for_each_line(bytes, cur.line_, [&](std::size_t index,
+                                      std::string_view line) {
     const auto trimmed = util::trim(line);
     if (trimmed.empty()) return;
     if (trimmed.front() == '#') {

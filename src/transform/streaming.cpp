@@ -103,6 +103,11 @@ void StreamingTransformer::parse_all() {
   for (auto& [node, files] : nodes_) {
     for (auto& [file, st] : files) {
       if (st.decl == nullptr) continue;
+      // A file whose last parse deferred (a structured document's prefix
+      // that does not parse yet) waits for the growth schedule or
+      // finalize(): re-trying the same unparseable prefix every tick only
+      // burns work.
+      if (st.deferred && st.content.size() < st.next_parse_at) continue;
       ParseTask t = prepare_parse(node, file, st, /*final_pass=*/false);
       if (t.scheduled) tasks.push_back(std::move(t));
     }
@@ -145,16 +150,19 @@ void StreamingTransformer::run_parse(ParseTask& t) const {
   // Pure stage: reads the file's in-place buffer, writes only into the
   // task. Safe on a pool worker because no ingest/note_gap can run while
   // run_tasks() holds the caller (the zero-copy lifetime rule).
-  ParseContext ctx{*t.node, *t.file, t.st->decl};
+  FileCursor& cursor = t.st->cursor;
+  t.parse_bytes = t.prefix - cursor.scan_from();
   try {
-    t.result = parse_to_conversion(
-        std::string_view(t.st->content).substr(0, t.prefix), ctx,
-        cfg_.transform, parser_cache_);
+    t.result = cursor.advance(t.st->content, t.prefix,
+                              ParseContext{*t.node, *t.file, t.st->decl},
+                              cfg_.transform, parser_cache_);
   } catch (const std::exception&) {
     // A prefix of a structured document (sar XML) need not parse; the final
     // pass usually sees the whole document. If even that fails (lossy
     // backpressure policies can punch holes in a document), keep the rows
-    // from the last good parse rather than losing the file.
+    // from the last good parse rather than losing the file. The cursor
+    // starts over; rows it returns again are skipped at reconcile.
+    cursor.reset();
     t.deferred = true;
   }
 }
@@ -177,8 +185,17 @@ void StreamingTransformer::run_tasks(std::vector<ParseTask>& tasks) {
   pool_->run(fns);
 }
 
+void StreamingTransformer::count_parse_bytes(std::size_t bytes) {
+  stats_.parse_bytes += bytes;
+  static obs::Counter& parse_bytes_c =
+      obs::Registry::global().counter("transform.parse_bytes");
+  parse_bytes_c.add(bytes);
+}
+
 bool StreamingTransformer::reconcile_parse(ParseTask& task) {
   FileState& st = *task.st;
+  count_parse_bytes(task.parse_bytes);
+  st.deferred = task.deferred;
   if (task.deferred) {
     ++stats_.parse_deferrals;
     static obs::Counter& deferrals =
@@ -203,8 +220,9 @@ bool StreamingTransformer::reconcile_parse(ParseTask& task) {
   (task.result.fast ? fast_passes : ref_passes).inc();
 
   // Malformed-line accounting: the fast path counts rejections precisely
-  // over the parsed prefix; rejection is monotone in the prefix, so the
-  // delta against the last pass is this pass's new rejects.
+  // over the parsed prefix (cumulative across resumed passes); rejection is
+  // monotone in the prefix, so the delta against the last pass is this
+  // pass's new rejects.
   if (task.result.stats.rejected > st.rejected) {
     const std::uint64_t delta = task.result.stats.rejected - st.rejected;
     st.rejected = task.result.stats.rejected;
@@ -232,8 +250,10 @@ bool StreamingTransformer::reconcile_parse(ParseTask& task) {
     // in place — sealed columnar segments re-encode only the affected
     // columns and warm indexes survive, so streaming never re-inserts a
     // sealed row. Inexact changes (e.g. "042" re-typed to Text) fall back
-    // to drop + rebuild. Rows already announced to the observer stay
-    // announced (rows_notified survives either path).
+    // to drop + rebuild, which needs every row of the prefix again: the
+    // cursor starts over and re-parses [0, prefix) once. Rows already
+    // announced to the observer stay announced (rows_notified survives
+    // either path).
     static obs::Counter& widens_c =
         obs::Registry::global().counter("transform.schema_widenings");
     widens_c.inc();
@@ -249,6 +269,12 @@ bool StreamingTransformer::reconcile_parse(ParseTask& task) {
       stats_.rows_live -= st.rows_in_table;
       st.rows_in_table = 0;
       ++stats_.schema_rebuilds;
+      st.cursor.reset();
+      count_parse_bytes(task.prefix);
+      task.result = st.cursor.advance(
+          st.content, task.prefix,
+          ParseContext{*task.node, *task.file, st.decl}, cfg_.transform,
+          parser_cache_);
     }
   }
   if (table == nullptr) {
@@ -261,7 +287,13 @@ bool StreamingTransformer::reconcile_parse(ParseTask& task) {
   }
   st.schema = conv.schema;
 
-  for (std::size_t i = st.rows_in_table; i < conv.rows.size(); ++i) {
+  // conv.rows[i] is row first + i of the file; rows below rows_in_table
+  // are in the table already (a cursor that started over returns them
+  // again).
+  const std::size_t first = task.result.first_row;
+  const std::size_t end = first + conv.rows.size();
+  for (std::size_t i = st.rows_in_table > first ? st.rows_in_table - first : 0;
+       i < conv.rows.size(); ++i) {
     db::Table::Row row;
     row.reserve(conv.rows[i].size());
     for (std::size_t c = 0; c < conv.rows[i].size(); ++c) {
@@ -284,16 +316,18 @@ bool StreamingTransformer::reconcile_parse(ParseTask& task) {
   }
   static obs::Counter& rows_c =
       obs::Registry::global().counter("transform.rows_inserted");
-  if (conv.rows.size() > st.rows_in_table) {
-    rows_c.add(conv.rows.size() - st.rows_in_table);
+  if (end > st.rows_in_table) {
+    rows_c.add(end - st.rows_in_table);
+    st.rows_in_table = end;
   }
-  st.rows_in_table = conv.rows.size();
   if (observer_) {
-    for (std::size_t i = st.rows_notified; i < conv.rows.size(); ++i) {
+    for (std::size_t i = st.rows_notified > first ? st.rows_notified - first
+                                                   : 0;
+         i < conv.rows.size(); ++i) {
       observer_(st.table, conv.schema, conv.rows[i]);
     }
   }
-  st.rows_notified = std::max(st.rows_notified, conv.rows.size());
+  st.rows_notified = std::max(st.rows_notified, end);
   return true;
 }
 

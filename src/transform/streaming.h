@@ -30,26 +30,33 @@ class ParsePool;
 /// The trick that makes this exact rather than approximate: every built-in
 /// mScopeParser is *prefix-stable* — parsing the first k lines of a file
 /// yields the first rows of parsing the whole file (headers only affect
-/// subsequent lines). So the streamer re-parses the accumulated
-/// complete-line prefix of each file and appends only the rows beyond what
-/// the table already holds. Re-parse points follow a geometric growth
-/// schedule, bounding total parse work at ~growth/(growth-1) times the
-/// one-shot cost.
+/// subsequent lines). So each parse pass covers the accumulated
+/// complete-line prefix of a file and appends only the rows beyond what the
+/// table already holds. On the fast path (transform/fastparse/, the
+/// default) a per-file FileCursor makes the parse resumable: a pass scans
+/// only the complete lines that arrived since the previous pass, so every
+/// streamed byte is parsed once (plus one re-parse of the prefix on the
+/// rare inexact schema change, below). The reference path
+/// (TransformConfig::use_reference_parser, and sar_xml, which has no fast
+/// parser) re-parses the whole prefix each pass. Pass points follow a
+/// geometric growth schedule, and parse_all() adds passes on the caller's
+/// clock; the schedule decides only when rows become visible, not how much
+/// parse work the fast path does.
 ///
-/// Parsing runs on the zero-copy fast path (transform/fastparse/) by
-/// default, reading each channel's accumulated buffer in place with no XML
-/// materialization; TransformConfig::use_reference_parser restores the
-/// regex oracle. With Config::transform.parse_workers > 1, parse_all() and
-/// finalize() fan the per-file parse passes out across a worker pool
-/// (batch-granular work stealing); table reconciliation always happens on
-/// the calling thread in sorted (node, file) order, so the warehouse is
-/// byte-identical at any worker count.
+/// The fast path reads each channel's accumulated buffer in place with no
+/// XML materialization. With Config::transform.parse_workers > 1,
+/// parse_all() and finalize() fan the per-file parse passes out across a
+/// worker pool (batch-granular work stealing); table reconciliation always
+/// happens on the calling thread in sorted (node, file) order, so the
+/// warehouse is byte-identical at any worker count.
 ///
 /// Schema widening on the fly: the XMLtoCSV "best match" type of a column
 /// can widen as data arrives (Int -> Double -> Text), and new columns can
 /// appear. When the inferred schema of the prefix differs from the live
-/// table's, the table is dropped and rebuilt at the new schema — earlier
-/// rows are re-typed, so the final table is identical to a batch import.
+/// table's, the table widens in place when that is exact; otherwise (e.g.
+/// "042" re-typed Int -> Text) it is dropped and rebuilt at the new schema
+/// from one re-parse of the prefix — either way earlier rows are re-typed,
+/// so the final table is identical to a batch import.
 ///
 /// finalize() parses each file's full content (including a trailing line
 /// with no newline), appends the tail rows, and records ms_load_catalog /
@@ -59,9 +66,14 @@ class ParsePool;
 class StreamingTransformer {
  public:
   struct Config {
-    std::size_t min_parse_bytes = 2048;  ///< first re-parse threshold
-    double growth_factor = 1.5;          ///< geometric re-parse schedule
-    TransformConfig transform;           ///< parse path + worker pool
+    /// Bytes a file must reach before its first scheduled parse pass.
+    std::size_t min_parse_bytes = 2048;
+    /// Geometric pass schedule: the next pass is due once the file has
+    /// grown by this factor. It batches visibility (when rows reach the
+    /// table); on the fast path each byte is parsed once whatever the
+    /// schedule.
+    double growth_factor = 1.5;
+    TransformConfig transform;  ///< parse path + worker pool
   };
 
   struct Stats {
@@ -70,6 +82,8 @@ class StreamingTransformer {
     std::uint64_t parse_passes = 0;     ///< incremental prefix parses
     std::uint64_t parse_deferrals = 0;  ///< parses retried later (e.g. a
                                         ///< mid-document XML prefix)
+    std::uint64_t parse_bytes = 0;      ///< bytes handed to a parser (incl.
+                                        ///< deferred and rebuild passes)
     std::uint64_t rows_live = 0;        ///< rows currently in dynamic tables
     std::uint64_t rows_inserted = 0;    ///< inserts incl. rebuild re-inserts
     std::uint64_t schema_rebuilds = 0;  ///< schema-change events (in-place
@@ -139,8 +153,10 @@ class StreamingTransformer {
   }
 
   /// Forces an incremental parse of every file regardless of the growth
-  /// schedule (bounds signal staleness for online consumers). Fans out
-  /// across the parse pool when Config::transform.parse_workers != 1.
+  /// schedule (bounds signal staleness for online consumers) — except a
+  /// file whose last parse deferred, which is retried only once the growth
+  /// schedule is due or at finalize(). Fans out across the parse pool when
+  /// Config::transform.parse_workers != 1.
   void parse_all();
 
   /// End of stream: parses full contents, loads the tails, and records
@@ -158,6 +174,8 @@ class StreamingTransformer {
     std::size_t rows_in_table = 0;
     std::size_t rows_notified = 0;
     std::uint64_t rejected = 0;  ///< rejected lines in the parsed prefix
+    bool deferred = false;       ///< the last parse pass threw
+    FileCursor cursor;           ///< resumable parse of `content`
     db::Schema schema;
     std::string table;
   };
@@ -172,16 +190,18 @@ class StreamingTransformer {
     bool final_pass = false;
     bool scheduled = false;  ///< false: nothing to parse this pass
     ParseResult result;
-    bool deferred = false;  ///< parse threw; retry on a later pass
+    std::size_t parse_bytes = 0;  ///< bytes handed to the parser
+    bool deferred = false;        ///< parse threw; retry on a later pass
   };
 
   /// Growth-schedule bookkeeping + prefix computation. Returns a task with
   /// scheduled=false when there is nothing new to parse.
   ParseTask prepare_parse(const std::string& node, const std::string& file,
                           FileState& st, bool final_pass);
-  /// The pure parse stage — thread-safe, touches only the task and the
-  /// (internally locked) parser cache.
+  /// The pure parse stage — thread-safe, touches only the task, its file's
+  /// cursor and the (internally locked) parser cache.
   void run_parse(ParseTask& t) const;
+  void count_parse_bytes(std::size_t bytes);
   /// Serial stage: counters, schema reconciliation, row inserts, observer.
   bool reconcile_parse(ParseTask& t);
   /// prepare + run + reconcile inline (the ingest-triggered path).

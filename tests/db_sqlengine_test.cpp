@@ -20,6 +20,7 @@
 #include "db/sql.h"
 #include "db/sqlengine/engine.h"
 #include "db/sqlengine/token.h"
+#include "obs/metrics.h"
 #include "oracle.h"
 #include "util/rng.h"
 #include "util/simtime.h"
@@ -317,6 +318,59 @@ TEST_F(SqlEngineFixture, TimeIndexPushdownMatchesScan) {
       oracle::rows_in_range(apache(), "ts_usec", 1500000, 3250000).size();
   EXPECT_EQ(std::get<std::int64_t>(indexed.at(0, 0)),
             static_cast<std::int64_t>(want));
+}
+
+TEST_F(SqlEngineFixture, TwoSidedRangePushdownMatchesOracle) {
+  // The bounds of every pushed kernel on the indexed column intersect
+  // before the one index probe: [lo, hi) ranges in the sealed segments, in
+  // the row-major tail and across both, a range closed by three bounds,
+  // and an empty intersection.
+  (void)apache().time_index("ts_usec");
+  struct Case {
+    std::string where;
+    double lo, hi;             ///< the oracle's [lo, hi)
+    std::size_t max_scanned;   ///< rows of the segments/tail it overlaps
+  };
+  // One row per msec: a sealed segment, then the row-major tail.
+  const std::size_t rows = apache().row_count();
+  const std::size_t seg = apache().storage().sealed_row_count();
+  ASSERT_EQ(apache().storage().segments().size(), 1u);
+  ASSERT_GT(seg, 3500u);
+  const std::vector<Case> cases = {
+      {"ts_usec >= 1500000 AND ts_usec < 3250000", 1500000, 3250000, seg},
+      {"ts_usec >= 4100000 AND ts_usec < 4200000", 4100000, 4200000,
+       rows - seg},
+      {"ts_usec >= 5000000 AND ts_usec < 5900000", 5000000, 5900000,
+       rows - seg},
+      {"ts_usec >= 3000000 AND ts_usec < 5000000", 3000000, 5000000, rows},
+      {"ts_usec < 2000000 AND ts_usec > 999999 AND ts_usec <= 1200000",
+       1000000, 1200001, seg},
+      {"ts_usec BETWEEN 100000 AND 900000 AND ts_usec >= 400000", 400000,
+       900001, seg},
+      {"ts_usec >= 3000000 AND ts_usec < 2000000", 0, 0, 0},
+      {"ts_usec >= 9000000 AND ts_usec < 9500000", 0, 0, 0},
+  };
+  obs::Counter& rows_scanned =
+      obs::Registry::global().counter("db.sql.rows_scanned");
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.where);
+    const std::uint64_t scanned0 = rows_scanned.get();
+    const Table got =
+        Sql::execute(db_, "SELECT * FROM ev_apache WHERE " + c.where);
+    expect_cells_equal(
+        got, oracle::select(apache(), oracle::rows_in_range(
+                                          apache(), "ts_usec", c.lo, c.hi)));
+    // Both ends bound the probe: a range inside the segment never decodes
+    // the tail, and an empty intersection decodes nothing.
+    EXPECT_LE(rows_scanned.get() - scanned0, c.max_scanned);
+  }
+  const Table plan = Sql::execute(
+      db_,
+      "EXPLAIN SELECT COUNT(*) FROM ev_apache WHERE ts_usec >= 3000000 AND "
+      "ts_usec < 2000000");
+  std::string all;
+  for (RowCursor cur = plan.scan(); cur.next();) all += as_text(cur.row()[0]);
+  EXPECT_NE(all.find("time-index"), std::string::npos) << all;
 }
 
 // --- property test: random predicates vs a row-at-a-time oracle --------------

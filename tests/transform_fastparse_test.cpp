@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <random>
 #include <regex>
 #include <string>
@@ -636,16 +637,23 @@ TEST(FastParseProperty, MutatedContentNeverCrashesAndMatchesOracle) {
 
 class StreamingParityFastpath : public ::testing::Test {
  protected:
-  /// Streams every fixture into a fresh warehouse with the given transform
-  /// config, chunked at awkward boundaries, with mid-stream parse_all()
-  /// ticks. Deterministic by construction.
-  static void stream_all(db::Database& db, const TransformConfig& tc) {
+  /// Streams every fixture (its content `repeat` times over) into a fresh
+  /// warehouse with the given transform config, chunked at awkward
+  /// boundaries, with mid-stream parse_all() ticks. Deterministic by
+  /// construction.
+  static StreamingTransformer::Stats stream_all(db::Database& db,
+                                                const TransformConfig& tc,
+                                                int repeat = 1) {
     StreamingTransformer::Config cfg;
     cfg.min_parse_bytes = 64;  // force many incremental passes
     cfg.growth_factor = 1.3;
     cfg.transform = tc;
     StreamingTransformer st(db, cfg);
-    const auto fixtures = all_fixtures();
+    auto fixtures = all_fixtures();
+    for (auto& f : fixtures) {
+      const std::string once = f.content;
+      for (int r = 1; r < repeat; ++r) f.content += once;
+    }
     std::size_t chunk = 7;
     std::vector<std::size_t> off(fixtures.size(), 0);
     bool progress = true;
@@ -665,6 +673,7 @@ class StreamingParityFastpath : public ::testing::Test {
       st.parse_all();
     }
     st.finalize();
+    return st.stats();
   }
 };
 
@@ -683,6 +692,25 @@ TEST_F(StreamingParityFastpath, WorkerPoolWarehouseIsByteIdentical) {
   expect_identical_databases(db_serial, db_pooled, "1 vs 4 workers");
   expect_identical_databases(db_serial, db_reference, "fast vs reference");
   EXPECT_FALSE(db_serial.table_names().empty());
+}
+
+TEST_F(StreamingParityFastpath, EachStreamedByteIsParsedOnce) {
+  // Many chunks and a parse_all() tick after every round: re-parsing each
+  // file's whole prefix per tick would hand the parser many times the
+  // ingested bytes. The fast path resumes where the last pass ended; only
+  // the drop + rebuild on an inexact schema change (hex request IDs that
+  // look like integers until the first letter) re-parses a short prefix.
+  obs::Counter& parse_bytes =
+      obs::Registry::global().counter("transform.parse_bytes");
+  const std::uint64_t before = parse_bytes.get();
+  db::Database db;
+  const auto stats = stream_all(db, TransformConfig{}, /*repeat=*/40);
+  EXPECT_GT(stats.parse_passes, 40 * all_fixtures().size());
+  EXPECT_EQ(parse_bytes.get() - before, stats.parse_bytes);
+  EXPECT_LE(static_cast<double>(stats.parse_bytes),
+            1.05 * static_cast<double>(stats.bytes))
+      << stats.parse_bytes << " bytes parsed for " << stats.bytes
+      << " ingested";
 }
 
 TEST_F(StreamingParityFastpath, BatchTransformerFastPathMatchesReference) {
@@ -715,6 +743,368 @@ TEST_F(StreamingParityFastpath, BatchTransformerFastPathMatchesReference) {
   }
   expect_identical_databases(db_ref, db_fast, "batch fast vs reference");
   expect_identical_databases(db_xml, db_fast, "batch fast vs XML artifacts");
+}
+
+// ---------------------------------------------------------------------------
+// Resumable parsing. A file fed in pieces — cut at random byte
+// offsets, mid-line and right after header or timestamp lines, with parse
+// passes in between — must give exactly what one parse of the whole file
+// gives: the same cells, schema, rejected lines and absolute row_lines. The
+// suite name carries "StreamingParity" so CI's TSan job picks up the pooled
+// variant.
+// ---------------------------------------------------------------------------
+
+/// One resumable-parse case: a file, its bytes, an optional declaration of
+/// its own (else the built-in one for `file`), and an optional byte range
+/// lost in transit (reported through note_gap).
+struct ResumeCase {
+  std::string file;
+  std::string content;
+  std::optional<Declaration> decl;
+  std::size_t gap_begin = 0;
+  std::size_t gap_end = 0;  ///< == gap_begin: no gap
+
+  /// The bytes the streamer ends up holding: the gap cut out, and the
+  /// partial line before it terminated (the note_gap stub).
+  [[nodiscard]] std::string oracle_content() const {
+    if (gap_end == gap_begin) return content;
+    std::string out = content.substr(0, gap_begin);
+    if (!out.empty() && out.back() != '\n') out.push_back('\n');
+    return out + content.substr(gap_end);
+  }
+};
+
+/// A token_lines declaration "a b" for the synthetic cases.
+Declaration two_field_decl(const std::string& file, int skip_lines = 0,
+                           const std::string& comment_prefix = "") {
+  Declaration d;
+  d.parser_id = "token_lines";
+  d.file_name = file;
+  d.source = "synthetic";
+  d.table_prefix = "ev_synth";
+  d.monitor_name = "synthetic";
+  d.skip_lines = skip_lines;
+  d.comment_prefix = comment_prefix;
+  d.tokens.push_back({R"re(^(\S+) (\S+)$)re", {"a", "b"}});
+  return d;
+}
+
+std::vector<ResumeCase> resume_cases() {
+  std::vector<ResumeCase> cases;
+  for (auto& f : all_fixtures()) {
+    cases.push_back({f.file, std::move(f.content), std::nullopt, 0, 0});
+  }
+
+  // sar_text: the second header names different columns.
+  std::string sar = sar_text_content();
+  sar += "00:00:03.000     CPU     %usr   %gnice   %sys   %iowait   %idle\n";
+  for (int i = 0; i < 6; ++i) {
+    sar += "00:00:03." + std::to_string(100 + i) + "     all     " +
+           std::to_string(10 + i) + ".00   0.00   3.50   1.25   " +
+           std::to_string(80 - i) + ".25\n";
+  }
+  cases.push_back({"sar_cpu.log", sar, std::nullopt, 0, 0});
+
+  // collectl csv: a new header mid-file with a new column.
+  std::string csv = collectl_csv_content();
+  csv += "#Date,Time,[CPU]User%,[NET]RxKBTot\n";
+  for (int i = 0; i < 6; ++i) {
+    csv += "20170101,00:00:05." + std::to_string(100 + i) + "," +
+           std::to_string(i) + ".5," + std::to_string(1000 + i) + "\n";
+  }
+  cases.push_back({"collectl.csv", csv, std::nullopt, 0, 0});
+
+  // tomcat: a call index (ds7/dr7) first appears on the last lines.
+  std::string tomcat = tomcat_content();
+  for (int i = 0; i < 3; ++i) {
+    fmt::TomcatRecord r;
+    r.ua = (2 + i) * kSec;
+    r.ud = r.ua + 20 * kMsec;
+    r.id = 0x900 + static_cast<std::uint64_t>(i);
+    r.servlet = "StoriesOfTheDay";
+    for (int c = 0; c < 8; ++c) {
+      const SimTime ds = r.ua + (c + 1) * kMsec;
+      r.calls.emplace_back(ds, ds + 300);
+    }
+    tomcat += fmt::tomcat_monitor(r) + "\n";
+  }
+  cases.push_back({"tomcat_mscope.log", tomcat, std::nullopt, 0, 0});
+
+  // skip_lines and comment lines, with a rejected line between them.
+  std::string skip = "banner line one\nbanner two\n# comment\n";
+  for (int i = 0; i < 30; ++i) {
+    skip += "k" + std::to_string(i) + " " + std::to_string(i) + "\n";
+    if (i % 7 == 0) skip += "# interleaved comment\nnot two fields here\n";
+  }
+  cases.push_back({"skip.log", skip, two_field_decl("skip.log", 2, "#"), 0,
+                   0});
+
+  // Int -> Double (exact, in place) -> Text (inexact: rebuild).
+  std::string widen;
+  for (int i = 0; i < 40; ++i) {
+    std::string b = std::to_string(i);
+    if (i >= 15) b += ".5";
+    if (i >= 30) b = "w" + b;
+    widen += "r" + std::to_string(i) + " " + b + "\n";
+  }
+  cases.push_back({"widen.log", widen, two_field_decl("widen.log"), 0, 0});
+
+  // "042" infers as Int 42; the later Text value forces the drop + rebuild
+  // path, after which the cell must read "042" again.
+  std::string zero;
+  for (int i = 0; i < 40; ++i) {
+    zero += "z" + std::to_string(i) + " " +
+            (i < 30 ? "0" + std::to_string(40 + i) : "text" + std::to_string(i)) +
+            "\n";
+  }
+  cases.push_back({"zero.log", zero, two_field_decl("zero.log"), 0, 0});
+
+  // note_gap: a hole from mid-line to mid-line; each side becomes a stub.
+  std::string gap = apache_content();
+  const std::size_t g0 = gap.find('\n', gap.size() / 3) - 10;
+  const std::size_t g1 = gap.find('\n', gap.size() / 2) - 7;
+  cases.push_back({"apache_access.log", gap, std::nullopt, g0, g1});
+  return cases;
+}
+
+const Declaration* case_decl(const ResumeCase& c,
+                             const DeclarationRegistry& registry) {
+  return c.decl ? &*c.decl : registry.match(c.file);
+}
+
+/// Cut points for one file: random byte offsets (mostly mid-line) on odd
+/// seeds, every line end on even seeds (each header and timestamp line then
+/// ends its chunk).
+std::vector<std::size_t> cut_points(const std::string& content,
+                                    std::mt19937& rng, bool line_ends) {
+  std::vector<std::size_t> cuts;
+  if (line_ends) {
+    for (std::size_t i = 0; i < content.size(); ++i) {
+      if (content[i] == '\n') cuts.push_back(i + 1);
+    }
+  } else {
+    const std::size_t n = 4 + content.size() / 60;
+    for (std::size_t i = 0; i < n; ++i) {
+      cuts.push_back(1 + rng() % content.size());
+    }
+  }
+  cuts.push_back(content.size());
+  std::sort(cuts.begin(), cuts.end());
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+  return cuts;
+}
+
+void expect_table_is_conversion(const db::Table& t, const Conversion& c,
+                                const std::string& label) {
+  db::Database one_shot;
+  (void)DataImporter::import(one_shot, "one_shot", c);
+  const db::Table& o = one_shot.get("one_shot");
+  ASSERT_EQ(o.schema(), t.schema()) << label;
+  ASSERT_EQ(o.row_count(), t.row_count()) << label;
+  for (std::size_t r = 0; r < o.row_count(); ++r) {
+    for (std::size_t col = 0; col < o.column_count(); ++col) {
+      ASSERT_TRUE(o.at(r, col) == t.at(r, col))
+          << label << " differs at row " << r << " col "
+          << o.schema()[col].name;
+    }
+  }
+}
+
+TEST(StreamingParityResume, CursorRowsAndLinesMatchOneShotParse) {
+  // The resumable cursor alone, fed at line-aligned ends exactly as the
+  // streamer feeds it: the concatenated rows, their absolute row_lines,
+  // the cumulative schema and rejected count equal one parse of the whole.
+  DeclarationRegistry registry;
+  ParserCache cache;
+  TransformConfig reference;
+  reference.use_reference_parser = true;
+  for (std::uint32_t seed = 1; seed <= 4; ++seed) {
+    std::mt19937 rng(seed);
+    // The reference cursor re-parses its prefix per pass, so it runs only
+    // on the random cuts, not on one pass per line.
+    const bool line_ends = seed % 2 == 0;
+    for (const ResumeCase& c : resume_cases()) {
+      const std::string content = c.oracle_content();
+      const Declaration* decl = case_decl(c, registry);
+      ASSERT_NE(decl, nullptr) << c.file;
+      const ParseContext ctx{"web1", c.file, decl};
+      SCOPED_TRACE(c.file + " seed " + std::to_string(seed));
+
+      ParseStats one_stats;
+      const Conversion one =
+          FastParser::compile(*decl)->parse(content, ctx, one_stats);
+      expect_same_conversion(reference_parse(content, ctx), one, c.file);
+
+      FileCursor fast;
+      FileCursor ref;
+      Conversion fast_all;
+      Conversion ref_all;
+      ParseResult last;
+      const auto append = [](Conversion& all, ParseResult& r) {
+        ASSERT_EQ(r.first_row, all.rows.size());
+        all.schema = r.conv.schema;
+        for (auto& row : r.conv.rows) all.rows.push_back(std::move(row));
+        all.row_lines.insert(all.row_lines.end(), r.conv.row_lines.begin(),
+                             r.conv.row_lines.end());
+      };
+      for (const std::size_t cut : cut_points(content, rng, line_ends)) {
+        // Mid-stream ends back up to the last complete line; the final one
+        // takes everything.
+        std::size_t end = cut;
+        if (cut < content.size()) {
+          const auto nl = content.rfind('\n', cut - 1);
+          end = nl == std::string::npos ? 0 : nl + 1;
+        }
+        last = fast.advance(content, end, ctx, TransformConfig{}, cache);
+        ASSERT_TRUE(last.fast);
+        append(fast_all, last);
+        if (!line_ends) {
+          ParseResult r = ref.advance(content, end, ctx, reference, cache);
+          append(ref_all, r);
+        }
+      }
+      for (auto& row : fast_all.rows) row.resize(fast_all.schema.size());
+      for (auto& row : ref_all.rows) row.resize(ref_all.schema.size());
+      EXPECT_EQ(fast_all.schema, one.schema);
+      EXPECT_EQ(fast_all.rows, one.rows);
+      EXPECT_EQ(fast_all.row_lines, one.row_lines);
+      EXPECT_EQ(last.stats.rejected, one_stats.rejected);
+      EXPECT_EQ(last.stats.lines, one_stats.lines);
+      if (!line_ends) {
+        EXPECT_EQ(ref_all.schema, one.schema);
+        EXPECT_EQ(ref_all.rows, one.rows);
+      }
+    }
+  }
+}
+
+/// Streams every resume case (each on its own node) into `db`: chunks cut
+/// at seeded random offsets, the files interleaved, and a parse_all() tick
+/// after each chunk with probability 1/2.
+StreamingTransformer::Stats stream_cases(db::Database& db,
+                                         const std::vector<ResumeCase>& cases,
+                                         std::uint32_t seed,
+                                         const TransformConfig& tc) {
+  StreamingTransformer::Config cfg;
+  cfg.min_parse_bytes = 256;
+  cfg.transform = tc;
+  StreamingTransformer st(db, cfg);
+  for (const ResumeCase& c : cases) {
+    if (c.decl) st.declarations().add(*c.decl);
+  }
+  std::mt19937 rng(seed);
+  std::vector<std::vector<std::size_t>> cuts;
+  for (const ResumeCase& c : cases) {
+    cuts.push_back(cut_points(c.content, rng, seed % 2 == 0));
+  }
+  std::vector<std::size_t> next(cases.size(), 0);
+  std::vector<std::size_t> off(cases.size(), 0);
+  bool progress = true;
+  while (progress) {
+    progress = false;
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      const ResumeCase& c = cases[i];
+      if (next[i] >= cuts[i].size()) continue;
+      progress = true;
+      const std::string node = "n" + std::to_string(i);
+      std::size_t to = std::max(cuts[i][next[i]++], off[i]);
+      if (c.gap_end != c.gap_begin && off[i] <= c.gap_begin &&
+          to > c.gap_begin) {
+        st.ingest(node, c.file,
+                  std::string_view(c.content)
+                      .substr(off[i], c.gap_begin - off[i]));
+        st.note_gap(node, c.file, c.gap_end - c.gap_begin);
+        off[i] = c.gap_end;
+        to = std::max(to, off[i]);
+      }
+      st.ingest(node, c.file,
+                std::string_view(c.content).substr(off[i], to - off[i]));
+      off[i] = to;
+      if (rng() % 2 == 0) st.parse_all();
+    }
+  }
+  st.finalize();
+  return st.stats();
+}
+
+void expect_resumed_stream_matches_one_shot(unsigned workers) {
+  const auto cases = resume_cases();
+  DeclarationRegistry registry;
+  std::uint64_t one_shot_rejected = 0;
+  std::vector<Conversion> one_shot;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const Declaration* decl = case_decl(cases[i], registry);
+    ASSERT_NE(decl, nullptr) << cases[i].file;
+    const ParseContext ctx{"n" + std::to_string(i), cases[i].file, decl};
+    const std::string content = cases[i].oracle_content();
+    ParseStats stats;
+    one_shot.push_back(FastParser::compile(*decl)->parse(content, ctx, stats));
+    expect_same_conversion(reference_parse(content, ctx), one_shot.back(),
+                           cases[i].file);
+    one_shot_rejected += stats.rejected;
+  }
+
+  std::uint64_t rebuilds = 0;
+  for (std::uint32_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    TransformConfig tc;
+    tc.parse_workers = workers;
+    db::Database db;
+    const auto stats = stream_cases(db, cases, seed, tc);
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      const Declaration* decl = case_decl(cases[i], registry);
+      const std::string table = decl->table_prefix + "_n" + std::to_string(i);
+      ASSERT_TRUE(db.exists(table)) << table;
+      expect_table_is_conversion(db.get(table), one_shot[i],
+                                 cases[i].file + " as " + table);
+    }
+    EXPECT_EQ(stats.rejected_lines, one_shot_rejected);
+    EXPECT_EQ(stats.gaps, 1u);
+    // Each byte once, plus one prefix per drop + rebuild.
+    EXPECT_GT(stats.parse_passes, cases.size());
+    rebuilds += stats.schema_rebuilds - stats.inplace_widens;
+  }
+  EXPECT_GT(rebuilds, 0u) << "no seed exercised the drop + rebuild path";
+}
+
+TEST(StreamingParityResume, SerialStreamMatchesOneShotAndOracle) {
+  expect_resumed_stream_matches_one_shot(1);
+}
+
+TEST(StreamingParityResume, PooledStreamMatchesOneShotAndOracle) {
+  expect_resumed_stream_matches_one_shot(4);
+}
+
+TEST(StreamingDeferral, UnfinishedDocumentIsRetriedOnlyOnSchedule) {
+  // A sar XML prefix does not parse until the document closes. parse_all()
+  // ticks must not re-try it each time; the growth schedule and finalize()
+  // do, and the rows are those of the whole document.
+  std::string xml = fmt::sar_xml_open("db1", 8);
+  for (int i = 0; i < 200; ++i) {
+    fmt::CpuRow r;
+    r.t = i * 100 * kMsec;
+    r.user = 0.1;
+    r.system = 0.05;
+    r.iowait = 0.01;
+    r.idle = 0.84;
+    xml += fmt::sar_xml_cpu_timestamp(r);
+  }
+  xml += fmt::sar_xml_close();
+
+  db::Database db;
+  StreamingTransformer st(db);
+  const std::size_t chunk = xml.size() / 100 + 1;
+  for (std::size_t off = 0; off < xml.size(); off += chunk) {
+    st.ingest("db1", "sar_cpu.xml", std::string_view(xml).substr(off, chunk));
+    st.parse_all();
+  }
+  st.finalize();
+  // ~100 ticks; the 1.5x schedule from 2 KiB fires about a dozen times.
+  EXPECT_GT(st.stats().parse_deferrals, 0u);
+  EXPECT_LT(st.stats().parse_deferrals, 20u);
+  EXPECT_EQ(st.stats().parse_passes, 1u);
+  ASSERT_TRUE(db.exists("res_sarxml_cpu_db1"));
+  EXPECT_EQ(db.get("res_sarxml_cpu_db1").row_count(), 200u);
 }
 
 }  // namespace
